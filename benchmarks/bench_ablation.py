@@ -2,9 +2,12 @@
 
 Three knobs of the H-FSC design are isolated here:
 
-* **eligible-set backend** -- Section V offers an augmented tree or a
-  calendar queue + heap; both are implemented, proven equivalent by the
-  tests, and timed against each other here.
+* **request-set structure** -- Section V offers an augmented tree or a
+  calendar queue + heap.  H-FSC runs on flat future/ready heaps (the
+  calendar variant over FlatState arrays); the two Section V structures
+  survive as standalone substrates.  All three are checked equivalent by
+  ``tests/test_eligible_set.py`` and timed here on one recorded request
+  stream, without the scheduler around them.
 * **system virtual time policy** -- Section IV-C argues for
   ``(v_min + v_max)/2``; the bench quantifies the sibling virtual-time
   spread under "mean" vs "min" vs "max" (the alternatives make the
@@ -18,44 +21,109 @@ import random
 
 import pytest
 
+from repro.core import flatstate
 from repro.core.curves import ServiceCurve
 from repro.core.hfsc import HFSC
 from repro.sim.drive import drive
 from repro.sim.packet import Packet
+from repro.util.eligible_set import CalendarEligibleSet
+from repro.util.eligible_tree import EligibleTree
 
 
 def lin(rate):
     return ServiceCurve.linear(rate)
 
 
-def _mixed_workload(seed, n_classes=32, horizon=2.0):
+def _request_stream(seed, n_items=32, n_serves=20_000):
+    """Record a serve-shaped request stream against the augmented tree.
+
+    Each step admits one arrival (inserting a request when its item was
+    idle), queries at an advancing ``now`` and, when a request is
+    eligible, serves it: re-keyed while its item stays backlogged,
+    removed when it drains.  The ops are recorded once and replayed
+    verbatim on every structure.
+    """
     rng = random.Random(seed)
-    arrivals = []
-    for cid in range(n_classes):
-        t = 0.0
-        while t < horizon:
-            t += rng.expovariate(50.0)
-            arrivals.append((t, cid, rng.choice([200.0, 800.0, 1500.0])))
-    return arrivals
+    periods = [0.002 * (1.0 + 0.013 * i) for i in range(n_items)]
+    ref = EligibleTree()
+    backlog = [0] * n_items
+    ops = []
+    now = 0.0
+    for _ in range(n_serves):
+        item = rng.randrange(n_items)
+        if backlog[item] == 0:
+            request = (item, now, now + periods[item])
+            ref.insert(*request)
+            ops.append(("insert",) + request)
+        backlog[item] += 1
+        now += rng.expovariate(1.0 / 0.0021)
+        ops.append(("query", now))
+        got = ref.min_deadline_eligible(now)
+        if got is None:
+            continue
+        item, eligible, deadline = got
+        backlog[item] -= 1
+        if backlog[item]:
+            request = (item, eligible + periods[item] / 2,
+                       deadline + periods[item])
+            ref.update(*request)
+            ops.append(("update",) + request)
+        else:
+            ref.remove(item)
+            ops.append(("remove", item))
+    return ops
 
 
-def _build(backend, n_classes=32, link=1_000_000.0):
-    sched = HFSC(link, eligible_backend=backend, admission_control=False)
-    for cid in range(n_classes):
-        rate = link / (2 * n_classes)
-        sched.add_class(cid, sc=ServiceCurve(3 * rate, 0.02, rate))
-    return sched
+class _FlatRequests:
+    """The flat kernels H-FSC calls, behind the substrates' protocol."""
+
+    def __init__(self, n_items):
+        self.state = flatstate.FlatState(n_items)
+        self.slot = [self.state.alloc(item) for item in range(n_items)]
+
+    def insert(self, item, eligible, deadline):
+        flatstate.elig_insert(self.state, self.slot[item], eligible, deadline)
+
+    def update(self, item, eligible, deadline):
+        flatstate.elig_update(self.state, self.slot[item], eligible, deadline)
+
+    def remove(self, item):
+        flatstate.elig_remove(self.state, self.slot[item])
+
+    def min_deadline_eligible(self, now):
+        slot = flatstate.elig_query(self.state, now)
+        return None if slot < 0 else self.state.obj[slot]
 
 
-@pytest.mark.parametrize("backend", ["tree", "calendar"])
+_REQUEST_SETS = {
+    "tree": lambda n: EligibleTree(),
+    "calendar": lambda n: CalendarEligibleSet(),
+    "heap": _FlatRequests,
+}
+
+
+@pytest.mark.parametrize("backend", sorted(_REQUEST_SETS))
 def test_eligible_backend_throughput(benchmark, backend):
-    arrivals = _mixed_workload(7)
+    ops = _request_stream(7)
 
     def work():
-        return drive(_build(backend), list(arrivals), until=60.0)
+        requests = _REQUEST_SETS[backend](32)
+        answered = 0
+        for op in ops:
+            kind = op[0]
+            if kind == "query":
+                if requests.min_deadline_eligible(op[1]) is not None:
+                    answered += 1
+            elif kind == "insert":
+                requests.insert(*op[1:])
+            elif kind == "update":
+                requests.update(*op[1:])
+            else:
+                requests.remove(op[1])
+        return answered
 
-    served = benchmark(work)
-    assert len(served) == len(arrivals)
+    answered = benchmark(work)
+    assert answered == sum(1 for op in ops if op[0] in ("update", "remove"))
 
 
 @pytest.mark.parametrize("policy", ["mean", "min", "max"])

@@ -223,10 +223,6 @@ def main(argv: List[str] = None) -> int:
         "--markdown", action="store_true", help="emit markdown tables"
     )
     run_parser.add_argument(
-        "--backend", choices=("tree", "calendar"), default="tree",
-        help="H-FSC eligible-set backend for checkpointable scenarios",
-    )
-    run_parser.add_argument(
         "--checkpoint", metavar="PATH", default=None,
         help="write crash-safe snapshots here (atomic tmp+rename)",
     )

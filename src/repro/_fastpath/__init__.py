@@ -91,7 +91,7 @@ def _smoke_test(mod) -> None:
     state.ls_on[leaf] = 1
     mod.activate_ls(state, leaf, flatstate.VT_MEAN)
     assert state.nactive[root] == 1 and state.ls_active[leaf] == 1
-    mod.serve_commit(state, leaf, 100.0, True, False, False, 0.0)
+    mod.serve_step(state, leaf, 100.0, True, False, False, 0.0, 0.0)
     assert state.nactive[root] == 0 and state.total_work[leaf] == 100.0
     assert abs(state.vt[leaf] - 1.0) < 1e-12
     mod.elig_insert(state, leaf, 0.5, 1.0)

@@ -1,7 +1,7 @@
 /* Compiled H-FSC hot-path kernels over FlatState's plain-list arrays.
  *
  * Drop-in replacements for the pure-Python kernels in
- * repro/core/flatstate.py: serve_commit, activate, activate_ls,
+ * repro/core/flatstate.py: serve_step, activate_step, activate_ls,
  * passivate_ls, ls_descend and the flat eligible-set operations.  Each
  * function takes the FlatState instance and operates on the *same*
  * Python list objects the pure kernels use, so the two paths are freely
@@ -623,28 +623,6 @@ static int activate_impl(StateCache *st, long slot, double now,
     return PyErr_Occurred() ? -1 : 0;
 }
 
-static PyObject *py_activate(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 6) {
-        PyErr_SetString(PyExc_TypeError,
-                        "activate(state, slot, now, rt_tracked, head_size, policy)");
-        return NULL;
-    }
-    StateCache *st = get_cache(args[0]);
-    if (st == NULL)
-        return NULL;
-    long slot = PyLong_AsLong(args[1]);
-    double now = PyFloat_AsDouble(args[2]);
-    int rt_tracked = PyObject_IsTrue(args[3]);
-    double head_size = PyFloat_AsDouble(args[4]);
-    long policy = PyLong_AsLong(args[5]);
-    if (PyErr_Occurred())
-        return NULL;
-    if (activate_impl(st, slot, now, rt_tracked, head_size, policy) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
 static int serve_commit_impl(StateCache *st, long slot, double size,
                              int realtime, int rt_tracked, int backlogged,
                              double next_size)
@@ -699,31 +677,6 @@ static int serve_commit_impl(StateCache *st, long slot, double size,
         passivate_ls_impl(st, slot);
     }
     return PyErr_Occurred() ? -1 : 0;
-}
-
-static PyObject *py_serve_commit(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 7) {
-        PyErr_SetString(PyExc_TypeError,
-                        "serve_commit(state, slot, size, realtime, rt_tracked, "
-                        "backlogged, next_size)");
-        return NULL;
-    }
-    StateCache *st = get_cache(args[0]);
-    if (st == NULL)
-        return NULL;
-    long slot = PyLong_AsLong(args[1]);
-    double size = PyFloat_AsDouble(args[2]);
-    int realtime = PyObject_IsTrue(args[3]);
-    int rt_tracked = PyObject_IsTrue(args[4]);
-    int backlogged = PyObject_IsTrue(args[5]);
-    double next_size = PyFloat_AsDouble(args[6]);
-    if (PyErr_Occurred())
-        return NULL;
-    if (serve_commit_impl(st, slot, size, realtime, rt_tracked, backlogged,
-                          next_size) < 0)
-        return NULL;
-    Py_RETURN_NONE;
 }
 
 static PyObject *py_ls_descend(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -1023,9 +976,7 @@ static PyObject *py_activate_step(PyObject *self, PyObject *const *args, Py_ssiz
 /* ---- module ------------------------------------------------------------- */
 
 static PyMethodDef methods[] = {
-    {"serve_commit", (PyCFunction)(void (*)(void))py_serve_commit, METH_FASTCALL, NULL},
     {"serve_step", (PyCFunction)(void (*)(void))py_serve_step, METH_FASTCALL, NULL},
-    {"activate", (PyCFunction)(void (*)(void))py_activate, METH_FASTCALL, NULL},
     {"activate_step", (PyCFunction)(void (*)(void))py_activate_step, METH_FASTCALL, NULL},
     {"activate_ls", (PyCFunction)(void (*)(void))py_activate_ls, METH_FASTCALL, NULL},
     {"passivate_ls", (PyCFunction)(void (*)(void))py_passivate_ls, METH_FASTCALL, NULL},

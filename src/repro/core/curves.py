@@ -56,7 +56,8 @@ class ServiceCurve:
             raise ConfigurationError("service curve slopes must be non-negative")
         if self.d < 0:
             raise ConfigurationError("service curve break point must be non-negative")
-        if math.isinf(self.m1) or math.isinf(self.m2) or math.isinf(self.d):
+        if not (math.isfinite(self.m1) and math.isfinite(self.d)
+                and math.isfinite(self.m2)):
             raise ConfigurationError("service curve parameters must be finite")
 
     # -- constructors ------------------------------------------------------

@@ -23,8 +23,8 @@ This module flattens that state into parallel arrays indexed by a dense
   ``IndexedHeap`` instances per interior class) are flat parallel lists
   ``key/seq/slot`` plus one global position array per side.
 
-The kernels in this module (:func:`serve_commit`, :func:`activate`,
-:func:`passivate`, :func:`ls_descend`) re-implement the seed hot path
+The kernels in this module (:func:`serve_step`, :func:`activate_step`,
+:func:`passivate_ls`, :func:`ls_descend`) re-implement the seed hot path
 *operation for operation* over these arrays: every float expression and
 every heap/tree mutation happens in the same order with the same
 operands, so schedules are byte-identical -- the golden-digest suite
@@ -691,7 +691,7 @@ def system_vt(state: FlatState, slot: int, policy: int) -> float:
 
 # -- flat eligible set -------------------------------------------------------
 #
-# The "heap" eligible-set backend: the paper's calendar-queue variant
+# H-FSC's real-time request set: the paper's calendar-queue variant
 # (Section V: eligible times tracked separately, deadlines in a heap for
 # the matured requests) rebuilt on flat indexed heaps over FlatState
 # slots.  Requests whose eligible time has not arrived sit in a *future*
@@ -699,14 +699,14 @@ def system_vt(state: FlatState, slot: int, policy: int) -> float:
 # matures everything due into a *ready* heap keyed ``(deadline,
 # maturation seq)`` and answers from its root.  Simulation time only
 # advances between queries, so matured requests never move back --
-# ``update`` re-inserts through the future heap, exactly like the
-# calendar backend.
+# ``update`` re-inserts through the future heap, exactly like
+# repro.util.eligible_set.CalendarEligibleSet.
 #
-# Selection is identical to the tree/calendar backends away from exact
-# deadline ties (the one place backends may legitimately differ, see
-# tests/golden_scenarios.py); unlike the treap there is no RNG and no
-# pointer chasing, so the per-serve remove+insert is two short list
-# sifts.
+# Selection matches the standalone Section V substrates
+# (repro.util.eligible_tree, CalendarEligibleSet) away from exact
+# deadline ties, which tests/test_eligible_set.py checks differentially;
+# unlike the treap there is no RNG and no pointer chasing, so the
+# per-serve remove+insert is two short list sifts.
 
 
 def _eheap_delete(keys, seqs, slots, pos, i: int) -> None:
@@ -793,10 +793,10 @@ def elig_query(state: FlatState, now: float) -> int:
 
 
 def elig_min_eligible(state: FlatState) -> Optional[float]:
-    """Earliest eligible time, matching the calendar backend's answer."""
+    """Earliest eligible time among the requests (None when empty)."""
     if state.erdy_key:
         # Matured requests are eligible "now"; report the smallest
-        # recorded eligible time for parity with the tree backend.
+        # recorded eligible time, as the augmented tree would.
         req_e = state.req_e
         return min(req_e[slot] for slot in state.erdy_slot)
     if state.efut_key:
@@ -820,107 +820,37 @@ def elig_clear(state: FlatState) -> None:
     state.erdy_ctr = 0
 
 
-class FlatEligibleSet:
-    """Eligible-set protocol over one scheduler's FlatState arrays.
+def elig_contains(state: FlatState, slot: int) -> bool:
+    """Does ``slot`` hold a request (in either heap)?"""
+    return state.efut_pos[slot] != -1 or state.erdy_pos[slot] != -1
 
-    Items are the class façade objects (``(state, slot)`` handles); all
-    storage lives in the shared FlatState so the kernels and a compiled
-    fast path can reach it without touching Python objects.
-    """
 
-    __slots__ = ("_s",)
+def elig_len(state: FlatState) -> int:
+    """Number of requests in the eligible set."""
+    return len(state.efut_key) + len(state.erdy_key)
 
-    def __init__(self, state: FlatState) -> None:
-        self._s = state
-        elig_clear(state)
 
-    def __len__(self) -> int:
-        s = self._s
-        return len(s.efut_key) + len(s.erdy_key)
-
-    def __bool__(self) -> bool:
-        s = self._s
-        return bool(s.efut_key) or bool(s.erdy_key)
-
-    def __contains__(self, item: Any) -> bool:
-        s = self._s
-        if item.state is not s:
-            return False
-        slot = item.slot
-        return s.efut_pos[slot] != -1 or s.erdy_pos[slot] != -1
-
-    def _slot_of(self, item: Any) -> int:
-        if item not in self:
-            raise KeyError(item)
-        return item.slot
-
-    def eligible_of(self, item: Any) -> float:
-        return self._s.req_e[self._slot_of(item)]
-
-    def deadline_of(self, item: Any) -> float:
-        return self._s.req_d[self._slot_of(item)]
-
-    def insert(self, item: Any, eligible: float, deadline: float) -> None:
-        s = self._s
-        if item.state is not s:
-            raise ValueError(f"item belongs to a different state: {item!r}")
-        if s.efut_pos[item.slot] != -1 or s.erdy_pos[item.slot] != -1:
-            raise ValueError(f"item already present: {item!r}")
-        elig_insert(s, item.slot, eligible, deadline)
-
-    def remove(self, item: Any) -> None:
-        elig_remove(self._s, self._slot_of(item))
-
-    def update(self, item: Any, eligible: float, deadline: float) -> None:
-        elig_update(self._s, self._slot_of(item), eligible, deadline)
-
-    def update_deadline(self, item: Any, deadline: float) -> None:
-        slot = self._slot_of(item)
-        elig_update(self._s, slot, self._s.req_e[slot], deadline)
-
-    def min_eligible(self) -> Optional[float]:
-        return elig_min_eligible(self._s)
-
-    def min_deadline_eligible(
-        self, now: float
-    ) -> Optional[Tuple[Any, float, float]]:
-        s = self._s
-        slot = elig_query(s, now)
-        if slot < 0:
-            return None
-        return s.obj[slot], s.req_e[slot], s.req_d[slot]
-
-    def items(self) -> Iterator[Tuple[Any, float, float]]:
-        """All requests in eligible-time order (mainly for tests).
-
-        Exact eligible-time ties are ordered by deadline then slot index;
-        like the backends' tie behaviour generally, this may differ from
-        the treap's insertion-order rule.
-        """
-        s = self._s
-        members = list(s.efut_slot) + list(s.erdy_slot)
-        members.sort(key=lambda slot: (s.req_e[slot], s.req_d[slot],
-                                       s.index[slot]))
-        for slot in members:
-            yield s.obj[slot], s.req_e[slot], s.req_d[slot]
-
-    def check_invariants(self) -> None:
-        """Verify heap order and position maps (for tests)."""
-        s = self._s
-        for keys, seqs, slots, pos in (
-            (s.efut_key, s.efut_seq, s.efut_slot, s.efut_pos),
-            (s.erdy_key, s.erdy_seq, s.erdy_slot, s.erdy_pos),
-        ):
-            assert len(keys) == len(seqs) == len(slots)
-            for i in range(1, len(keys)):
-                parent = (i - 1) >> 1
-                assert (keys[parent], seqs[parent]) <= (keys[i], seqs[i]), (
-                    "eligible heap order violated"
-                )
-            for i, slot in enumerate(slots):
-                assert pos[slot] == i, "eligible position map stale"
-        for slot in s.efut_slot:
-            assert s.erdy_pos[slot] == -1, "slot in both eligible heaps"
+def elig_check_invariants(state: FlatState) -> None:
+    """Assert heap order, position maps and future/ready disjointness."""
+    for keys, seqs, slots, pos in (
+        (state.efut_key, state.efut_seq, state.efut_slot, state.efut_pos),
+        (state.erdy_key, state.erdy_seq, state.erdy_slot, state.erdy_pos),
+    ):
+        assert len(keys) == len(seqs) == len(slots), (
+            "eligible heap arrays out of step"
+        )
+        for i in range(1, len(keys)):
+            parent = (i - 1) >> 1
+            assert (keys[parent], seqs[parent]) <= (keys[i], seqs[i]), (
+                "eligible heap order violated"
+            )
+        for i, slot in enumerate(slots):
+            assert pos[slot] == i, "eligible position map stale"
+        assert sum(1 for i in pos if i != -1) == len(slots), (
+            "eligible position map has stray entries"
+        )
+    for slot in state.efut_slot:
+        assert state.erdy_pos[slot] == -1, "slot in both eligible heaps"
 
 
 # -- hot-path kernels --------------------------------------------------------
@@ -1006,10 +936,9 @@ def activate(state: FlatState, slot: int, now: float, rt_tracked: bool,
              head_size: float, policy: int) -> None:
     """HFSC._activate: Fig. 5(a) update_ed + Fig. 6 update_v, flat.
 
-    The shell is responsible for the eligible-set insert (when
-    ``rt_tracked``) and the upper-limit wait-heap push (when the class
-    has an ul spec), reading the freshly written ``eligible``,
-    ``deadline`` and ``fit_time`` cells.
+    :func:`activate_step` adds the eligible-set insert; the shell
+    performs the upper-limit wait-heap push (when the class has an ul
+    spec), reading the freshly written ``fit_time`` cell.
     """
     c = state.cumul_rt[slot]
     if rt_tracked:
@@ -1057,9 +986,9 @@ def serve_commit(state: FlatState, slot: int, size: float, realtime: bool,
     Covers: real-time counters, the Fig. 6 ancestor virtual-time walk
     with its heap re-keying (or the dying-path skip), the upper-limit fit
     update, the Fig. 5 eligible/deadline advance for a still-backlogged
-    leaf, and the link-sharing passivation walk otherwise.  The shell
-    performs the eligible-set and ul-wait-heap mutations around this call
-    (those structures hold façade objects).
+    leaf, and the link-sharing passivation walk otherwise.
+    :func:`serve_step` adds the eligible-set maintenance; the shell
+    performs the ul-wait-heap mutation (that heap holds façade objects).
     """
     if realtime:
         state.cumul_rt[slot] += size
@@ -1179,9 +1108,9 @@ def elig_requeue(state: FlatState, slot: int, eligible: float,
     exact state the next query would build, minus the churn.  The fresh
     seq orders exact deadline ties by *this* serve order rather than by
     the future heap's maturation order; deadline ties are the one point
-    where eligible-set backends may legitimately differ (see
-    tests/golden_scenarios.py), and every caller -- per-packet and
-    batched, pure and compiled -- routes through this same rule.
+    where request-set implementations may legitimately differ, and every
+    caller -- per-packet and batched, pure and compiled -- routes through
+    this same rule.
     """
     if eligible <= now:
         i = state.erdy_pos[slot]
@@ -1249,9 +1178,7 @@ def serve_step(state: FlatState, slot: int, size: float, realtime: bool,
     One kernel call per served packet instead of two or three: the
     serve bookkeeping runs first, then the request for a still-backlogged
     tracked leaf is re-keyed (:func:`elig_requeue`) or a drained leaf's
-    request is dropped.  Only valid with the flat ("heap") eligible
-    backend -- the legacy backends keep façade objects the shell must
-    touch itself.
+    request is dropped.
     """
     serve_commit(state, slot, size, realtime, rt_tracked, backlogged,
                  next_size)
@@ -1267,9 +1194,9 @@ def activate_step(state: FlatState, slot: int, now: float, rt_tracked: bool,
                   head_size: float, policy: int) -> None:
     """:func:`activate` fused with the flat eligible-set insert.
 
-    The passive->active update writes ``eligible``/``deadline``; with the
-    flat backend the request insert needs no façade, so the whole
-    transition is one kernel call.  The upper-limit wait-heap push stays
+    The passive->active update writes ``eligible``/``deadline`` and the
+    request insert reads them back, so the whole transition is one
+    kernel call.  The upper-limit wait-heap push stays
     in the shell (that heap holds façade objects).
     """
     activate(state, slot, now, rt_tracked, head_size, policy)
@@ -1517,9 +1444,7 @@ try:  # pragma: no cover - exercised via the compiled CI leg
 
     _fast = _load_fastpath()
     if _fast is not None:
-        serve_commit = _fast.serve_commit  # noqa: F811
         serve_step = _fast.serve_step  # noqa: F811
-        activate = _fast.activate  # noqa: F811
         activate_step = _fast.activate_step  # noqa: F811
         activate_ls = _fast.activate_ls  # noqa: F811
         passivate_ls = _fast.passivate_ls  # noqa: F811

@@ -20,9 +20,13 @@ H-FSC schedules a class hierarchy over one output link using two criteria:
 
 The implementation follows the paper's pseudo-code (Figs. 4-6) and the O(1)
 two-piece curve machinery of Section V.  Complexity is O(log n) per packet
-arrival and departure: the real-time request set is the augmented tree of
-:mod:`repro.util.eligible_tree`, and each interior class keeps indexed heaps
-over its active children's virtual times.
+arrival and departure: the real-time request set is Section V's calendar
+variant, a future heap keyed by eligible time feeding a ready heap keyed by
+deadline, kept in the flat arrays of :mod:`repro.core.flatstate`; each
+interior class keeps indexed heaps over its active children's virtual
+times.  Section V's other structure, the augmented tree, survives as the
+standalone substrate :mod:`repro.util.eligible_tree` (compared in
+``benchmarks/bench_ablation.py``).
 
 Extensions beyond the paper, both off by default and marked in the API:
 
@@ -53,7 +57,6 @@ from repro.core import flatstate as _flat
 from repro.core.flatstate import (
     NAN,
     CurveView,
-    FlatEligibleSet,
     FlatState,
     HeapView,
     heap_iter_sorted,
@@ -62,7 +65,6 @@ from repro.core.runtime_curves import RuntimeCurve, eligible_spec
 from repro.obs.core import TELEMETRY as _TELEM
 from repro.schedulers.base import Scheduler
 from repro.sim.packet import Packet
-from repro.util.eligible_set import make_eligible_set
 from repro.util.heap import IndexedHeap
 
 ROOT = "__root__"
@@ -411,6 +413,11 @@ class HFSCClass:
 class HFSC(Scheduler):
     """Hierarchical Fair Service Curve packet scheduler.
 
+    Leaf real-time requests live in the future/ready heaps inside the
+    shared :class:`~repro.core.flatstate.FlatState` (Section V's calendar
+    variant without the object churn); the scheduler calls the
+    ``flatstate.elig_*`` kernels with slot ids.
+
     Parameters
     ----------
     link_rate:
@@ -420,15 +427,6 @@ class HFSC(Scheduler):
         When True (default) the scheduler verifies, lazily before the first
         packet after any topology change, that the sum of the leaves'
         real-time curves does not exceed the link rate (Section II).
-    eligible_backend:
-        ``"heap"`` (default) keeps the requests in flat future/ready
-        heaps inside the shared :class:`~repro.core.flatstate.FlatState`
-        (the calendar-variant semantics of Section V without the object
-        churn); ``"tree"`` uses the augmented binary tree of Section V;
-        ``"calendar"`` uses the calendar-queue + deadline-heap
-        alternative the same section describes.  Identical semantics
-        away from exact deadline ties, different constants (see
-        ``benchmarks/bench_ablation.py``).
     vt_policy:
         System virtual time for a class whose child activates:
         ``"mean"`` (default) is the paper's ``(v_min + v_max) / 2``;
@@ -463,7 +461,6 @@ class HFSC(Scheduler):
         self,
         link_rate: float,
         admission_control: bool = True,
-        eligible_backend: str = "heap",
         vt_policy: str = "mean",
         realtime: bool = True,
         overload_policy: str = "raise",
@@ -495,29 +492,12 @@ class HFSC(Scheduler):
                               None, state=self._flat)
         self.root.vt_policy = vt_policy
         self._classes: Dict[Any, HFSCClass] = {ROOT: self.root}
-        self._eligible_backend = eligible_backend
-        self._eligible = self._make_eligible_set()
-        # The heap backend lives in the flat arrays, so the hot path can
-        # call its kernels with slot ids instead of the object protocol.
-        self._flat_elig = eligible_backend == "heap"
         self._ul_classes: Set[HFSCClass] = set()
         self._next_index = 1
         # Backlogged upper-limited leaves keyed by fit time, so
         # next_ready_time() needs the earliest future fit rather than a
         # scan of every upper-limited class.
         self._ul_wait: IndexedHeap[HFSCClass] = IndexedHeap()
-
-    def _make_eligible_set(self):
-        """Fresh (empty) eligible set for the configured backend.
-
-        The "heap" backend lives inside the shared flat state, so it is
-        built here rather than in :func:`make_eligible_set` (which has no
-        access to ``self._flat``); constructing it clears any previous
-        membership.
-        """
-        if self._eligible_backend == "heap":
-            return FlatEligibleSet(self._flat)
-        return make_eligible_set(self._eligible_backend)
 
     # -- hierarchy construction ---------------------------------------------
 
@@ -685,8 +665,7 @@ class HFSC(Scheduler):
             cls.rt_spec = new_rt
             cls.rt_admitted = True  # a fresh request; re-vetted lazily
             if new_rt is None:
-                if cls in self._eligible:
-                    self._eligible.remove(cls)
+                self._drop_request(cls)
                 cls.deadline_curve = None
                 cls.eligible_curve = None
             else:
@@ -745,6 +724,11 @@ class HFSC(Scheduler):
         be updated separately (``Link.set_rate``); the chaos injector does
         both together.
         """
+        if not math.isfinite(rate):
+            raise ReconfigurationError(
+                "link rate must be finite",
+                operation="set_link_rate", reason="non-finite-rate",
+            )
         if rate <= 0:
             raise ReconfigurationError(
                 "link rate must be positive",
@@ -767,7 +751,7 @@ class HFSC(Scheduler):
         old virtual times so link-sharing stays monotonic across the
         rebuild.
         """
-        self._eligible = self._make_eligible_set()
+        _flat.elig_clear(self._flat)
         self._ul_wait = IndexedHeap()
         packets = 0
         size = 0.0
@@ -843,17 +827,10 @@ class HFSC(Scheduler):
         leaf: Optional[HFSCClass] = None
         realtime = False
         if self.realtime_enabled and not self.rt_suspended:
-            if self._flat_elig:
-                state = self._flat
-                slot = _flat.elig_query(state, now)
-                if slot >= 0:
-                    leaf = state.obj[slot]
-                    realtime = True
-            else:
-                request = self._eligible.min_deadline_eligible(now)
-                if request is not None:
-                    leaf = request[0]
-                    realtime = True
+            slot = _flat.elig_query(self._flat, now)
+            if slot >= 0:
+                leaf = self._flat.obj[slot]
+                realtime = True
         if leaf is None:
             leaf = self._link_sharing_select(now)
         if leaf is None:
@@ -866,7 +843,7 @@ class HFSC(Scheduler):
 
     def next_ready_time(self, now: float) -> Optional[float]:
         if self.realtime_enabled and not self.rt_suspended:
-            best = self._eligible.min_eligible()
+            best = _flat.elig_min_eligible(self._flat)
         else:
             best = None
         # The earliest *future* fit time among backlogged upper-limited
@@ -896,7 +873,6 @@ class HFSC(Scheduler):
         adm = self._admission_control
         telem = _TELEM
         telem_on = telem.enabled
-        flat_elig = self._flat_elig
         state = self._flat
         activate_step = _flat.activate_step
         rt_on = state.rt_on
@@ -923,18 +899,14 @@ class HFSC(Scheduler):
                 queue = cls.queue
                 queue.append(packet)
                 if len(queue) == 1:
-                    if flat_elig:
-                        # The _activate shell, inlined: the arriving
-                        # packet is the head, so head_size == size.
-                        slot = cls.slot
-                        rt_tracked = (rt_on[slot] != 0 and rt_enabled
-                                      and rt_adm[slot] != 0)
-                        activate_step(state, slot, now, rt_tracked, size,
-                                      policy)
-                        if ulsp_on[slot]:
-                            self._ul_wait.push(cls, fit_time[slot])
-                    else:
-                        self._activate(cls, now)
+                    # The _activate shell, inlined: the arriving packet
+                    # is the head, so head_size == size.
+                    slot = cls.slot
+                    rt_tracked = (rt_on[slot] != 0 and rt_enabled
+                                  and rt_adm[slot] != 0)
+                    activate_step(state, slot, now, rt_tracked, size, policy)
+                    if ulsp_on[slot]:
+                        self._ul_wait.push(cls, fit_time[slot])
         finally:
             # Commit counters even when a packet mid-batch raises: the
             # earlier packets are enqueued, exactly as a caller's own
@@ -950,13 +922,11 @@ class HFSC(Scheduler):
         maintenance run inlined with the flat-state arrays and kernels
         bound once per batch; the link-sharing descent and every
         rarely-taken branch call the same helpers the per-packet path
-        uses.  Legacy eligible-set backends take the base-class loop.
+        uses.
         """
         served: List[Packet] = []
         if max_packets <= 0 or self._backlog_packets == 0:
             return served
-        if not self._flat_elig:
-            return super().dequeue_batch(now, max_packets)
         state = self._flat
         elig_query = _flat.elig_query
         serve_step = _flat.serve_step
@@ -1032,15 +1002,18 @@ class HFSC(Scheduler):
 
     def eligible_count(self) -> int:
         """Number of leaves currently in the real-time eligible set."""
-        return len(self._eligible)
+        return _flat.elig_len(self._flat)
 
     def check_invariants(self) -> None:
         """Verify internal consistency (used by the property tests).
 
         Checks: active/passive bookkeeping matches queue contents, heap
-        membership matches activity, per-class byte accounting sums to the
+        membership matches activity, the eligible heaps are well ordered
+        with exact position maps, per-class byte accounting sums to the
         scheduler totals, and rt service never exceeds total service.
         """
+        state = self._flat
+        _flat.elig_check_invariants(state)
         total_backlog_packets = 0
         total_backlog_bytes = 0.0
         # One ancestor walk per backlogged leaf marks every interior class
@@ -1058,7 +1031,7 @@ class HFSC(Scheduler):
                 total_backlog_packets += len(cls.queue)
                 total_backlog_bytes += sum(p.size for p in cls.queue)
                 if cls.rt_spec is not None and self.realtime_enabled:
-                    in_set = cls in self._eligible
+                    in_set = _flat.elig_contains(state, cls.slot)
                     assert in_set == (bool(cls.queue) and cls.rt_admitted), (
                         f"{cls.name!r}: eligible-set membership inconsistent"
                     )
@@ -1153,7 +1126,6 @@ class HFSC(Scheduler):
             "config": {
                 "link_rate": self.link_rate,
                 "admission_control": self._admission_control,
-                "eligible_backend": self._eligible_backend,
                 "vt_policy": self.vt_policy,
                 "realtime": self.realtime_enabled,
                 "overload_policy": self.overload_policy,
@@ -1212,14 +1184,24 @@ class HFSC(Scheduler):
                 reason="scheduler-type",
             )
         config = doc["config"]
-        _require_keys(config, ("link_rate", "admission_control",
-                               "eligible_backend", "vt_policy", "realtime",
-                               "overload_policy"), "HFSC config")
+        config_keys = ("link_rate", "admission_control", "vt_policy",
+                       "realtime", "overload_policy")
+        if isinstance(config, dict) and "eligible_backend" in config:
+            # Older envelopes name the request set they ran with.  Every
+            # one of them maps exactly onto the flat heaps: membership and
+            # keys are re-derived from the per-class scalars below.
+            if config["eligible_backend"] not in ("heap", "tree", "calendar"):
+                raise SnapshotError(
+                    "snapshot names an unknown eligible set "
+                    f"{config['eligible_backend']!r}",
+                    reason="bad-config",
+                )
+            config_keys += ("eligible_backend",)
+        _require_keys(config, config_keys, "HFSC config")
         try:
             sched = cls(
                 link_rate=config["link_rate"],
                 admission_control=config["admission_control"],
-                eligible_backend=config["eligible_backend"],
                 vt_policy=config["vt_policy"],
                 realtime=config["realtime"],
                 overload_policy=config["overload_policy"],
@@ -1374,7 +1356,8 @@ class HFSC(Scheduler):
                     "curve",
                     reason="missing-curve",
                 )
-            self._eligible.insert(node, node.eligible, node.deadline)
+            _flat.elig_insert(self._flat, node.slot, node.eligible,
+                              node.deadline)
         # Upper-limit wait heap, in the stored fit-time order.
         expected_wait = {
             node.name
@@ -1611,8 +1594,7 @@ class HFSC(Scheduler):
         stripped = [cls for cls in rejected if cls.rt_admitted]
         for cls in stripped:
             cls.rt_admitted = False
-            if cls in self._eligible:
-                self._eligible.remove(cls)
+            self._drop_request(cls)
             cls.deadline_curve = None
             cls.eligible_curve = None
         if stripped:
@@ -1632,8 +1614,7 @@ class HFSC(Scheduler):
         if not self._rt_tracked(leaf):
             leaf.deadline_curve = None
             leaf.eligible_curve = None
-            if leaf in self._eligible:
-                self._eligible.remove(leaf)
+            self._drop_request(leaf)
             return
         if not leaf.queue:
             # Idle: nothing to schedule; _activate rebuilds from the new
@@ -1650,10 +1631,13 @@ class HFSC(Scheduler):
         leaf.deadline = leaf.deadline_curve.inverse(
             leaf.cumul_rt + leaf.queue[0].size
         )
-        if leaf in self._eligible:
-            self._eligible.update(leaf, leaf.eligible, leaf.deadline)
-        else:
-            self._eligible.insert(leaf, leaf.eligible, leaf.deadline)
+        self._drop_request(leaf)
+        _flat.elig_insert(self._flat, leaf.slot, leaf.eligible, leaf.deadline)
+
+    def _drop_request(self, leaf: HFSCClass) -> None:
+        """Remove ``leaf``'s real-time request, if it has one."""
+        if _flat.elig_contains(self._flat, leaf.slot):
+            _flat.elig_remove(self._flat, leaf.slot)
 
     def _record_overload(self, policy: str, now: Optional[float] = None,
                          **details: Any) -> None:
@@ -1681,8 +1665,7 @@ class HFSC(Scheduler):
         leaf.queue.clear()
         for packet in drained:
             self._note_return(packet)
-        if leaf.rt_spec is not None and leaf in self._eligible:
-            self._eligible.remove(leaf)
+        self._drop_request(leaf)
         if leaf.ul_spec is not None and leaf in self._ul_wait:
             self._ul_wait.remove(leaf)
         if leaf.ls_active:
@@ -1707,9 +1690,9 @@ class HFSC(Scheduler):
     def _activate(self, leaf: HFSCClass, now: float) -> None:
         """Fig. 5(a) update_ed + Fig. 6 update_v on passive->active.
 
-        All state mutation happens in the flat kernel; this shell only
-        performs the eligible-set / ul-wait-heap insertions, which hold
-        façade objects.
+        All state mutation, the eligible-set insert included, happens in
+        the flat kernel; this shell only performs the ul-wait-heap push,
+        which holds façade objects.
         """
         state = self._flat
         slot = leaf.slot
@@ -1718,15 +1701,8 @@ class HFSC(Scheduler):
             and self.realtime_enabled
             and state.rt_adm[slot] != 0
         )
-        if self._flat_elig:
-            _flat.activate_step(state, slot, now, rt_tracked,
-                                leaf.queue[0].size, self._policy_code)
-        else:
-            _flat.activate(state, slot, now, rt_tracked, leaf.queue[0].size,
-                           self._policy_code)
-            if rt_tracked:
-                self._eligible.insert(leaf, state.eligible[slot],
-                                      state.deadline[slot])
+        _flat.activate_step(state, slot, now, rt_tracked,
+                            leaf.queue[0].size, self._policy_code)
         if state.ulsp_on[slot]:
             self._ul_wait.push(leaf, state.fit_time[slot])
 
@@ -1839,25 +1815,13 @@ class HFSC(Scheduler):
             _TELEM.on_hfsc_serve(leaf.name, size, now, realtime, packet.deadline)
         backlogged = bool(queue)
         next_size = queue[0].size if backlogged else 0.0
-        # Fig. 6 update_v, the Fig. 5 e/d advance, the upper-limit fit
-        # update and (on queue-empty) the link-sharing passivation all run
-        # in the flat kernel; the shell applies the results to the two
-        # structures that hold façade objects.  With the flat eligible
-        # backend the eligible-set maintenance is fused into the same
-        # kernel call (serve_step), so per-packet and batched serves share
-        # one deadline-tie rule.
-        if self._flat_elig:
-            _flat.serve_step(state, slot, size, realtime, rt_tracked,
-                             backlogged, next_size, now)
-        else:
-            _flat.serve_commit(state, slot, size, realtime, rt_tracked,
-                               backlogged, next_size)
-            if backlogged:
-                if rt_tracked:
-                    self._eligible.update(leaf, state.eligible[slot],
-                                          state.deadline[slot])
-            elif rt_tracked:
-                self._eligible.remove(leaf)
+        # Fig. 6 update_v, the Fig. 5 e/d advance, the eligible-set
+        # maintenance, the upper-limit fit update and (on queue-empty) the
+        # link-sharing passivation all run in one kernel call, so
+        # per-packet and batched serves share one deadline-tie rule; the
+        # shell applies the fit time to the heap that holds façade objects.
+        _flat.serve_step(state, slot, size, realtime, rt_tracked,
+                         backlogged, next_size, now)
         if state.ul_on[slot]:
             if backlogged:
                 self._ul_wait.update(leaf, state.fit_time[slot])

@@ -302,21 +302,21 @@ def run_checkpointed(
 # -- crash-equivalence oracle ------------------------------------------------
 
 
-def drive_rows(name: str, backend: str) -> List[Row]:
+def drive_rows(name: str) -> List[Row]:
     """Uninterrupted rows for a drive scenario, via :class:`DriveRun`."""
     from repro.persist.scenarios import DRIVE_SETUPS
 
-    sched, arrivals, until = DRIVE_SETUPS[name](backend)
+    sched, arrivals, until = DRIVE_SETUPS[name]()
     run = DriveRun(sched, arrivals, until)
     run.run()
     return run.rows
 
 
-def runtime_rows(name: str, backend: str) -> List[Row]:
+def runtime_rows(name: str) -> List[Row]:
     """Uninterrupted rows for an event-driven scenario."""
     from repro.persist.scenarios import RUNTIME_SETUPS
 
-    ctx, until = RUNTIME_SETUPS[name](backend)
+    ctx, until = RUNTIME_SETUPS[name]()
     ctx.loop.run(until=until)
     return [
         (r.class_id, r.size, r.departed, r.via_realtime)
@@ -325,7 +325,7 @@ def runtime_rows(name: str, backend: str) -> List[Row]:
 
 
 def crash_and_resume_drive(
-    name: str, backend: str, crash_index: int
+    name: str, crash_index: int
 ) -> List[Row]:
     """Run a drive scenario, kill it after ``crash_index`` departures,
     restore into a fresh context and continue to the end.
@@ -337,7 +337,7 @@ def crash_and_resume_drive(
     from repro.persist.scenarios import DRIVE_SETUPS
 
     setup = DRIVE_SETUPS[name]
-    sched, arrivals, until = setup(backend)
+    sched, arrivals, until = setup()
     run = DriveRun(sched, arrivals, until)
     finished = run.run(max_served=crash_index)
     text = dumps_snapshot(run.snapshot_body())
@@ -346,7 +346,7 @@ def crash_and_resume_drive(
         # state; restoring and continuing must be a no-op.
         pass
     del run, sched, arrivals
-    fresh_sched, fresh_arrivals, fresh_until = setup(backend)
+    fresh_sched, fresh_arrivals, fresh_until = setup()
     del fresh_sched  # the snapshot supplies the scheduler state
     resumed = DriveRun.restore(loads_snapshot(text), fresh_arrivals)
     if resumed.until != fresh_until:
@@ -359,14 +359,14 @@ def crash_and_resume_drive(
 
 
 def crash_and_resume_runtime(
-    name: str, backend: str, crash: CrashPoint
+    name: str, crash: CrashPoint
 ) -> List[Row]:
     """Crash/restore/continue for an event-driven scenario."""
     from repro.persist.codec import dumps_snapshot, loads_snapshot
     from repro.persist.scenarios import RUNTIME_SETUPS
 
     setup = RUNTIME_SETUPS[name]
-    ctx, until = setup(backend)
+    ctx, until = setup()
     bodies: List[str] = []
     run_checkpointed(
         ctx,
@@ -378,7 +378,7 @@ def crash_and_resume_runtime(
     )
     text = bodies[-1]
     del ctx
-    fresh_ctx, fresh_until = setup(backend)
+    fresh_ctx, fresh_until = setup()
     fresh_ctx.restore_body(loads_snapshot(text))
     fresh_ctx.loop.run(until=fresh_until)
     return [

@@ -45,6 +45,7 @@ times, and trivially exact snapshots.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional
 
@@ -190,8 +191,8 @@ class HLSScheduler(Scheduler):
         per-class state depends on the absolute rate; this only updates
         the bookkeeping the serving layer reads.
         """
-        if rate <= 0:
-            raise ReconfigurationError("link rate must be positive")
+        if not math.isfinite(rate) or rate <= 0:
+            raise ReconfigurationError("link rate must be positive and finite")
         self.link_rate = float(rate)
         self.root.weight = float(rate)
 

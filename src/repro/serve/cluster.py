@@ -283,6 +283,11 @@ class ClusterError(ReproError):
         self.context = context or {}
 
 
+def _refuse_constant(name: str) -> Any:
+    """``json.loads`` hook: ``NaN``/``Infinity`` are not JSON numbers."""
+    raise ClusterError(f"request is not JSON: {name} is not a JSON number")
+
+
 # -- curve scaling ------------------------------------------------------------
 #
 # The operator speaks aggregate numbers to the front-end; each shard
@@ -1277,7 +1282,7 @@ class ClusterControl:
         self.requests += 1
         try:
             try:
-                request = json.loads(line)
+                request = json.loads(line, parse_constant=_refuse_constant)
             except json.JSONDecodeError as exc:
                 raise ClusterError(f"request is not JSON: {exc}") from None
             if not isinstance(request, dict) or "op" not in request:

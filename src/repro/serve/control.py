@@ -65,6 +65,11 @@ class ControlError(ReproError):
     """A malformed or unserviceable control request."""
 
 
+def _refuse_constant(name: str) -> Any:
+    """``json.loads`` hook: ``NaN``/``Infinity`` are not JSON numbers."""
+    raise ControlError(f"request is not JSON: {name} is not a JSON number")
+
+
 class ControlServer:
     """Dispatch control-plane requests against a :class:`ServeService`."""
 
@@ -79,6 +84,10 @@ class ControlServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         """One connection: serve request lines until the peer closes."""
+        # Reads of 64 KiB instead of asyncio's 256 KiB stay below glibc's
+        # mmap threshold (see ServeService.start_udp); lines up to the
+        # reader limit still arrive, over several reads.
+        writer.transport.max_size = 65_536
         try:
             while True:
                 try:
@@ -109,7 +118,7 @@ class ControlServer:
             if len(line) > MAX_LINE:
                 raise ControlError(f"request line over {MAX_LINE} bytes")
             try:
-                request = json.loads(line)
+                request = json.loads(line, parse_constant=_refuse_constant)
             except json.JSONDecodeError as exc:
                 raise ControlError(f"request is not JSON: {exc}") from None
             if not isinstance(request, dict) or "op" not in request:

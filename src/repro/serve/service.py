@@ -72,7 +72,6 @@ class ServeService:
         link_rate: float,
         backend: str = "hfsc",
         overload_policy: str = "raise",
-        eligible_backend: str = "heap",
         admission_control: bool = True,
         time_scale: float = 1.0,
         buffer_packets: int = 256,
@@ -85,7 +84,6 @@ class ServeService:
         self.scheduler = build_scheduler(
             backend, link_rate, self.specs,
             overload_policy=overload_policy,
-            eligible_backend=eligible_backend,
             admission_control=admission_control,
         )
         self.loop = EventLoop()
@@ -229,6 +227,12 @@ class ServeService:
             )
         except OSError as exc:
             raise BindError(f"udp://{host}:{port}", exc) from exc
+        # asyncio receives each datagram into a 256 KiB buffer, which is
+        # past glibc's mmap threshold unless an earlier free happened to
+        # raise it: recvfrom then pays an mmap/munmap pair and page faults
+        # per datagram, at a cost that depends on allocation history.  No
+        # UDP datagram exceeds 65,535 bytes, so this buffer loses nothing.
+        transport.max_size = 65_535
         self._transports.append(transport)
         return transport.get_extra_info("sockname")
 

@@ -20,6 +20,7 @@ later ``set_rate`` restores capacity.  This is what the chaos subsystem
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.errors import SimulationError, SnapshotError
@@ -316,8 +317,8 @@ class Link:
         which bits actually flowed.
         """
         rate = float(rate)
-        if rate < 0:
-            raise SimulationError("link rate must be non-negative")
+        if not math.isfinite(rate) or rate < 0:
+            raise SimulationError("link rate must be finite and non-negative")
         old = self.rate
         if rate == old:
             return

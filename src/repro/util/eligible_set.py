@@ -1,13 +1,16 @@
-"""Pluggable backends for the H-FSC real-time request set.
+"""Section V's calendar-queue request set, as a standalone substrate.
 
 Section V offers two implementations for tracking (eligible, deadline)
 requests: the augmented binary tree of [16]
 (:class:`repro.util.eligible_tree.EligibleTree`) and "a calendar queue
 [4] for keeping track of the eligible times in conjunction with a heap
 for maintaining the requests' deadlines", noting the latter is "slightly
-faster on average".  This module defines the small protocol both satisfy
-and implements the calendar+heap variant; ``HFSC(eligible_backend=...)``
-selects between them, and ``benchmarks/bench_ablation.py`` compares them.
+faster on average".  This module implements the calendar+heap variant
+with the same protocol as the tree.  H-FSC itself keeps its requests in
+the flat future/ready heaps of :mod:`repro.core.flatstate`; the two
+structures here survive as substrates that
+``tests/test_eligible_set.py`` checks against those heaps and
+``benchmarks/bench_ablation.py`` times.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 from typing import Generic, Hashable, Optional, Tuple, TypeVar
 
 from repro.util.calendar_queue import CalendarQueue
-from repro.util.eligible_tree import EligibleTree
 from repro.util.heap import IndexedHeap
 
 ItemT = TypeVar("ItemT", bound=Hashable)
@@ -65,7 +67,7 @@ class CalendarEligibleSet(Generic[ItemT]):
     def min_eligible(self) -> Optional[float]:
         if self._ready:
             # Matured requests are eligible "now"; report the smallest
-            # recorded eligible time for parity with the tree backend.
+            # recorded eligible time, as the augmented tree would.
             return min(self._requests[item][0] for item in self._ready)
         return self._future.min_time()
 
@@ -80,20 +82,3 @@ class CalendarEligibleSet(Generic[ItemT]):
         eligible = self._requests[item][0]
         return item, eligible, deadline
 
-
-def make_eligible_set(backend: str):
-    """Factory used by :class:`repro.core.hfsc.HFSC`.
-
-    The third backend, ``"heap"`` (the default), stores its requests in
-    the scheduler's shared flat arrays and is therefore constructed by
-    the scheduler itself (:class:`repro.core.flatstate.FlatEligibleSet`)
-    rather than here.
-    """
-    if backend == "tree":
-        return EligibleTree()
-    if backend == "calendar":
-        return CalendarEligibleSet()
-    raise ValueError(
-        f"unknown eligible-set backend: {backend!r} "
-        "(expected 'heap', 'tree' or 'calendar')"
-    )

@@ -5,9 +5,10 @@ heap-order link-sharing descent, curve-inverse caching) are required to be
 *byte-identical* refactorings: every scenario here produces the exact same
 packet schedule -- class, size, departure time bit-for-bit -- before and
 after.  ``tests/golden/golden_schedules.json`` pins SHA-256 digests of the
-schedules produced by the seed implementation;
-``tests/test_golden_traces.py`` replays every scenario through both
-eligible-set backends and asserts the digests still match.
+schedules produced by the seed implementation, one ``"heap"`` column per
+scenario (named after H-FSC's flat request heaps);
+``tests/test_golden_traces.py`` replays every scenario and asserts the
+digests still match.
 
 The workload *setups* live in :mod:`repro.persist.scenarios` and are shared
 with the crash/resume harness, so crash-equivalence (crash -> restore ->
@@ -16,9 +17,9 @@ schedules pinned here.  :func:`schedule_digest` likewise comes from
 :mod:`repro.persist.harness`.
 
 Scenarios deliberately avoid exact deadline / virtual-time ties: tie-break
-order is the one place the two backends (and any reimplementation of the
-selection loops) may legitimately differ, so rates are perturbed per class
-the same way ``tests/test_hfsc_extensions.py`` does.
+order is the one place a reimplementation of the selection loops may
+legitimately differ, so rates are perturbed per class the same way
+``tests/test_hfsc_extensions.py`` does.
 
 Regenerate the golden file (only when a schedule change is *intended*)::
 
@@ -48,10 +49,12 @@ from repro.sim.packet import Packet
 
 GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "golden_schedules.json")
 
-BACKENDS = ("tree", "calendar", "heap")
+# Digest columns per scenario in the golden file; the digest tests
+# parametrize over them.
+DIGEST_COLUMNS = ("heap",)
 
 __all__ = [
-    "BACKENDS", "GOLDEN_PATH", "SCENARIOS", "schedule_digest",
+    "DIGEST_COLUMNS", "GOLDEN_PATH", "SCENARIOS", "schedule_digest",
     "compute_digests", "load_golden",
 ]
 
@@ -60,17 +63,17 @@ def _served_rows(served: List[Packet]) -> List[Tuple[Any, float, float, Any]]:
     return [(p.class_id, p.size, p.departed, p.via_realtime) for p in served]
 
 
-def _drive_scenario(setup) -> Callable[[str], List[Tuple[Any, float, float, Any]]]:
-    def runner(backend: str) -> List[Tuple[Any, float, float, Any]]:
-        sched, arrivals, until = setup(backend)
+def _drive_scenario(setup) -> Callable[[], List[Tuple[Any, float, float, Any]]]:
+    def runner() -> List[Tuple[Any, float, float, Any]]:
+        sched, arrivals, until = setup()
         return _served_rows(drive(sched, arrivals, until=until))
 
     return runner
 
 
-def eventloop_mixed(backend: str) -> List[Tuple[Any, float, float, Any]]:
+def eventloop_mixed() -> List[Tuple[Any, float, float, Any]]:
     """Full event-driven run: EventLoop + Link + stochastic sources."""
-    ctx, until = eventloop_mixed_context(backend)
+    ctx, until = eventloop_mixed_context()
     ctx.loop.run(until=until)
     return [
         (r.class_id, r.size, r.departed, r.via_realtime)
@@ -78,7 +81,7 @@ def eventloop_mixed(backend: str) -> List[Tuple[Any, float, float, Any]]:
     ]
 
 
-SCENARIOS: Dict[str, Callable[[str], List[Tuple[Any, float, float, Any]]]] = {
+SCENARIOS: Dict[str, Callable[[], List[Tuple[Any, float, float, Any]]]] = {
     "e4_phases": _drive_scenario(e4_phases_setup),
     "e5_decoupling": _drive_scenario(e5_decoupling_setup),
     "ul_caps": _drive_scenario(ul_caps_setup),
@@ -93,7 +96,7 @@ assert set(SCENARIOS) == set(DRIVE_SETUPS) | set(RUNTIME_SETUPS)
 
 def compute_digests() -> Dict[str, Dict[str, str]]:
     return {
-        name: {backend: schedule_digest(builder(backend)) for backend in BACKENDS}
+        name: {"heap": schedule_digest(builder())}
         for name, builder in SCENARIOS.items()
     }
 

@@ -97,6 +97,14 @@ class TestServiceCurve:
         with pytest.raises(ConfigurationError):
             ServiceCurve(m1=-1.0, d=1.0, m2=1.0)
 
+    @pytest.mark.parametrize("params", [
+        (math.nan, 0.0, math.nan), (1.0, math.nan, 1.0), (1.0, 0.0, math.nan),
+        (math.inf, 0.0, 1.0), (1.0, math.inf, 1.0),
+    ])
+    def test_non_finite_parameters_rejected(self, params):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ServiceCurve(*params)
+
     def test_scaled(self):
         curve = ServiceCurve(m1=100.0, d=1.0, m2=10.0).scaled(0.5)
         assert curve.m1 == 50.0 and curve.m2 == 5.0 and curve.d == 1.0

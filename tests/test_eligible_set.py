@@ -1,25 +1,14 @@
-"""Tests for the pluggable eligible-set backends (Section V options)."""
-
-import random
+"""Tests for the real-time request sets: Section V's two substrates
+(augmented tree, calendar queue + deadline heap) and the flat
+future/ready heaps H-FSC runs on."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.util.eligible_set import CalendarEligibleSet, make_eligible_set
+from repro.core import flatstate
+from repro.util.eligible_set import CalendarEligibleSet
 from repro.util.eligible_tree import EligibleTree
-
-
-class TestFactory:
-    def test_tree(self):
-        assert isinstance(make_eligible_set("tree"), EligibleTree)
-
-    def test_calendar(self):
-        assert isinstance(make_eligible_set("calendar"), CalendarEligibleSet)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            make_eligible_set("nope")
 
 
 class TestCalendarEligibleSet:
@@ -94,33 +83,56 @@ class TestBackendEquivalence:
     @given(request_streams())
     @settings(max_examples=150, deadline=None)
     def test_same_answers_as_tree(self, ops):
-        """Both backends answer every query identically (modulo deadline
-        ties, which the generator avoids by perturbing deadlines)."""
-        tree = make_eligible_set("tree")
-        cal = make_eligible_set("calendar")
+        """The tree, the calendar set and the flat kernels answer every
+        query identically (modulo deadline ties, which the generator
+        avoids by perturbing deadlines)."""
+        tree = EligibleTree()
+        cal = CalendarEligibleSet()
+        flat = flatstate.FlatState(13)
+        slot_of = {item: flat.alloc(item) for item in range(13)}
         now = 0.0
         members = set()
         used_deadlines = set()
+
+        def flat_answer():
+            slot = flatstate.elig_query(flat, now)
+            if slot < 0:
+                return None
+            return flat.obj[slot], flat.req_e[slot], flat.req_d[slot]
+
         for op, item, eligible, deadline in ops:
-            # Perturb duplicate deadlines: tie order is backend-specific.
+            # Perturb duplicate deadlines: tie order is implementation-specific.
             while deadline in used_deadlines:
                 deadline += 1e-3
+            slot = slot_of[item]
             if op == "insert" and item not in members:
                 tree.insert(item, eligible, deadline)
                 cal.insert(item, eligible, deadline)
+                flatstate.elig_insert(flat, slot, eligible, deadline)
                 members.add(item)
                 used_deadlines.add(deadline)
             elif op == "remove" and item in members:
                 tree.remove(item)
                 cal.remove(item)
+                flatstate.elig_remove(flat, slot)
                 members.remove(item)
             elif op == "update" and item in members:
                 tree.update(item, eligible, deadline)
                 cal.update(item, eligible, deadline)
+                # The scheduler re-keys through both entry points:
+                # elig_update on live reconfiguration, elig_requeue on serve.
+                if item % 2:
+                    flatstate.elig_requeue(flat, slot, eligible, deadline, now)
+                else:
+                    flatstate.elig_update(flat, slot, eligible, deadline)
                 used_deadlines.add(deadline)
             elif op == "query":
                 now += eligible / 10.0  # queries advance time monotonically
                 got_tree = tree.min_deadline_eligible(now)
-                got_cal = cal.min_deadline_eligible(now)
-                assert got_tree == got_cal
-        assert len(tree) == len(cal) == len(members)
+                assert cal.min_deadline_eligible(now) == got_tree
+                assert flat_answer() == got_tree
+                assert (cal.min_eligible() == tree.min_eligible()
+                        == flatstate.elig_min_eligible(flat))
+            flatstate.elig_check_invariants(flat)
+            assert flatstate.elig_contains(flat, slot) == (item in members)
+        assert len(tree) == len(cal) == flatstate.elig_len(flat) == len(members)

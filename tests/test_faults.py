@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import flatstate
 from repro.core.curves import ServiceCurve
 from repro.core.errors import ConfigurationError
 from repro.core.hfsc import HFSC, OVERLOAD_POLICIES
@@ -232,7 +233,7 @@ def test_watchdog_reports_invariant_violation_and_can_rebuild():
     sched.enqueue(Packet("a", 100.0), 0.0)
     watchdog = Watchdog(loop, sched, period=0.1, auto_rebuild=True)
     # Sabotage a derived structure; the next tick must catch and repair it.
-    sched._eligible.remove(sched["a"])
+    flatstate.elig_remove(sched["a"].state, sched["a"].slot)
     loop.run(until=0.35)
     watchdog.stop()
     kinds = [r.kind for r in watchdog.reports]
@@ -242,6 +243,28 @@ def test_watchdog_reports_invariant_violation_and_can_rebuild():
     # Only the sabotaged window reported; later ticks are clean.
     assert len([k for k in kinds if k == "invariant"]) == 1
     assert watchdog.checks_run >= 3
+
+
+def test_watchdog_catches_corrupted_eligible_heap():
+    """Membership can look right while the heap's position map is wrong;
+    check_invariants (and so the watchdog) must still see it."""
+    loop = EventLoop()
+    sched = HFSC(1000.0)
+    sched.add_class("a", sc=ServiceCurve.linear(400.0))
+    sched.add_class("b", sc=ServiceCurve.linear(300.0))
+    sched.enqueue(Packet("a", 100.0), 0.0)
+    sched.enqueue(Packet("b", 100.0), 0.0)
+    sched.check_invariants()
+    state = sched._flat
+    a, b = sched["a"].slot, sched["b"].slot
+    assert state.efut_pos[a] != -1 and state.efut_pos[b] != -1
+    state.efut_pos[a], state.efut_pos[b] = state.efut_pos[b], state.efut_pos[a]
+    with pytest.raises(AssertionError, match="position map"):
+        sched.check_invariants()
+    watchdog = Watchdog(loop, sched, period=0.1)
+    loop.run(until=0.15)
+    watchdog.stop()
+    assert [r.kind for r in watchdog.reports] == ["invariant"]
 
 
 def test_watchdog_clean_run_reports_nothing():
@@ -264,7 +287,7 @@ def test_watchdog_report_serializes():
     sched.add_class("a", sc=ServiceCurve.linear(400.0))
     sched.enqueue(Packet("a", 100.0), 0.0)
     watchdog = Watchdog(loop, sched, period=0.1)
-    sched._eligible.remove(sched["a"])
+    flatstate.elig_remove(sched["a"].state, sched["a"].slot)
     loop.run(until=0.15)
     watchdog.stop()
     report = watchdog.reports[0].to_dict()

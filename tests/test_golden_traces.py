@@ -5,7 +5,7 @@ orderings) with full-scenario digests: the values in
 ``tests/golden/golden_schedules.json`` were produced by the seed
 implementation, before the tuple event loop, the link busy-serve fast path
 and the heap-order link-sharing descent landed.  Every scenario is replayed
-through both eligible-set backends; a digest mismatch means the packet
+through H-FSC's one request-set path; a digest mismatch means the packet
 ordering or a departure timestamp changed -- i.e. an "optimization" altered
 scheduling semantics.  See ``tests/golden_scenarios.py`` for the scenario
 definitions and how to regenerate the file when a schedule change is
@@ -15,7 +15,7 @@ definitions and how to regenerate the file when a schedule change is
 import pytest
 
 from tests.golden_scenarios import (
-    BACKENDS,
+    DIGEST_COLUMNS,
     SCENARIOS,
     load_golden,
     schedule_digest,
@@ -27,28 +27,21 @@ def golden():
     return load_golden()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("column", DIGEST_COLUMNS)
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_schedule_matches_seed(golden, name, backend):
+def test_schedule_matches_seed(golden, name, column):
     """Byte-identical replay: digest equals the seed implementation's."""
-    rows = SCENARIOS[name](backend)
+    rows = SCENARIOS[name]()
     assert rows, f"scenario {name!r} produced no departures"
-    assert schedule_digest(rows) == golden[name][backend], (
-        f"schedule for {name!r} ({backend} backend) diverged from the "
-        "seed implementation -- the hot path changed packet ordering or "
-        "departure timestamps"
+    assert schedule_digest(rows) == golden[name][column], (
+        f"schedule for {name!r} diverged from the seed implementation -- "
+        "the hot path changed packet ordering or departure timestamps"
     )
 
 
+@pytest.mark.parametrize("column", DIGEST_COLUMNS)
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_backends_agree(golden, name):
-    """Tree and calendar backends pin the *same* schedule per scenario."""
-    assert golden[name]["tree"] == golden[name]["calendar"]
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_schedule_matches_seed_batching_off(golden, name, backend, monkeypatch):
+def test_schedule_matches_seed_batching_off(golden, name, column, monkeypatch):
     """The batch entry points are pure amortizations, not semantics.
 
     Forcing every batched call through the per-packet base-class loops
@@ -60,8 +53,8 @@ def test_schedule_matches_seed_batching_off(golden, name, backend, monkeypatch):
 
     monkeypatch.setattr(HFSC, "enqueue_batch", Scheduler.enqueue_batch)
     monkeypatch.setattr(HFSC, "dequeue_batch", Scheduler.dequeue_batch)
-    rows = SCENARIOS[name](backend)
-    assert schedule_digest(rows) == golden[name][backend], (
-        f"schedule for {name!r} ({backend} backend) changed when the "
-        "batched entry points were disabled"
+    rows = SCENARIOS[name]()
+    assert schedule_digest(rows) == golden[name][column], (
+        f"schedule for {name!r} changed when the batched entry points "
+        "were disabled"
     )

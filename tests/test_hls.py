@@ -193,6 +193,10 @@ class TestReconfiguration:
         assert sched.link_rate == 2000.0
         with pytest.raises(ReconfigurationError):
             sched.set_link_rate(0.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ReconfigurationError, match="finite"):
+                sched.set_link_rate(bad)
+        assert sched.link_rate == 2000.0
 
     def test_remove_backlogged_needs_force(self):
         sched = campus()

@@ -62,6 +62,15 @@ def test_set_rate_rejects_negative():
         link.set_rate(-1.0)
 
 
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_set_rate_rejects_non_finite(rate):
+    loop, sched, link, _ = _fifo_link()
+    before = link.rate
+    with pytest.raises(SimulationError, match="finite"):
+        link.set_rate(rate)
+    assert link.rate == before
+
+
 # -- outages -----------------------------------------------------------------
 
 

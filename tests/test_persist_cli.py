@@ -21,7 +21,7 @@ GOLDEN = load_golden()
 
 def make_args(experiment, **overrides):
     defaults = dict(
-        experiment=experiment, backend="tree", checkpoint=None,
+        experiment=experiment, checkpoint=None,
         checkpoint_every=None, resume=None, crash_at=None, digest_out=None,
     )
     defaults.update(overrides)
@@ -40,7 +40,7 @@ class TestRunScenario:
             make_args(name, digest_out=digest_path))
         assert code == pcli.EXIT_OK
         written = open(digest_path, encoding="utf-8").read().strip()
-        assert written == GOLDEN[name]["tree"]
+        assert written == GOLDEN[name]["heap"]
         assert written in capsys.readouterr().out
 
     def test_drive_crash_then_resume_matches_golden(self, tmp_path, capsys):
@@ -55,7 +55,7 @@ class TestRunScenario:
             "e4_phases", resume=ck, digest_out=digest_path))
         assert code == pcli.EXIT_OK
         resumed = open(digest_path, encoding="utf-8").read().strip()
-        assert resumed == GOLDEN["e4_phases"]["tree"]
+        assert resumed == GOLDEN["e4_phases"]["heap"]
 
     def test_runtime_crash_then_resume_matches_golden(self, tmp_path):
         ck = str(tmp_path / "ck.json")
@@ -68,7 +68,7 @@ class TestRunScenario:
             "eventloop_mixed", resume=ck, digest_out=digest_path))
         assert code == pcli.EXIT_OK
         resumed = open(digest_path, encoding="utf-8").read().strip()
-        assert resumed == GOLDEN["eventloop_mixed"]["tree"]
+        assert resumed == GOLDEN["eventloop_mixed"]["heap"]
 
     def test_drive_rejects_event_crash_spec(self, tmp_path, capsys):
         code = pcli.run_scenario_command(make_args(
@@ -132,7 +132,7 @@ class TestSignalPath:
             "e4_phases", resume=ck, digest_out=digest_path))
         assert code == pcli.EXIT_OK
         resumed = open(digest_path, encoding="utf-8").read().strip()
-        assert resumed == GOLDEN["e4_phases"]["tree"]
+        assert resumed == GOLDEN["e4_phases"]["heap"]
         assert len(body["served"]) == 300  # stopped at the first boundary
 
 

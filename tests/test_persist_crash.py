@@ -35,7 +35,7 @@ from repro.persist.harness import (
 from repro.persist.scenarios import DRIVE_SETUPS, RUNTIME_SETUPS
 from repro.sim.engine import EventLoop
 from repro.sim.faults import CrashPoint
-from tests.golden_scenarios import BACKENDS, load_golden
+from tests.golden_scenarios import DIGEST_COLUMNS, load_golden
 
 GOLDEN = load_golden()
 
@@ -54,86 +54,105 @@ class TestUninterruptedEqualsGolden:
     original execution models: with checkpointing off they reproduce the
     pinned digests exactly."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("column", DIGEST_COLUMNS)
     @pytest.mark.parametrize("name", sorted(DRIVE_SETUPS))
-    def test_drive_run(self, name, backend):
-        digest = schedule_digest(drive_rows(name, backend))
-        assert digest == GOLDEN[name][backend]
+    def test_drive_run(self, name, column):
+        digest = schedule_digest(drive_rows(name))
+        assert digest == GOLDEN[name][column]
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("column", DIGEST_COLUMNS)
     @pytest.mark.parametrize("name", sorted(RUNTIME_SETUPS))
-    def test_runtime(self, name, backend):
-        digest = schedule_digest(runtime_rows(name, backend))
-        assert digest == GOLDEN[name][backend]
+    def test_runtime(self, name, column):
+        digest = schedule_digest(runtime_rows(name))
+        assert digest == GOLDEN[name][column]
 
 
 class TestCrashEquivalence:
-    """crash -> snapshot -> restore -> continue == never crashed."""
+    """crash -> snapshot -> restore -> continue == never crashed.
+
+    The ``_tree`` suffix names the request set these sweeps first ran on;
+    H-FSC now has one, the flat heaps.
+    """
 
     @pytest.mark.parametrize("crash_index", DRIVE_CRASH_INDICES)
     @pytest.mark.parametrize("name", sorted(DRIVE_SETUPS))
     def test_drive_tree(self, name, crash_index):
-        rows = crash_and_resume_drive(name, "tree", crash_index)
-        assert schedule_digest(rows) == GOLDEN[name]["tree"]
-
-    @pytest.mark.parametrize("name", sorted(DRIVE_SETUPS))
-    def test_drive_calendar(self, name):
-        rows = crash_and_resume_drive(name, "calendar", 113)
-        assert schedule_digest(rows) == GOLDEN[name]["calendar"]
+        rows = crash_and_resume_drive(name, crash_index)
+        assert schedule_digest(rows) == GOLDEN[name]["heap"]
 
     @pytest.mark.parametrize("crash", RUNTIME_CRASHES,
                              ids=lambda c: f"{c.at_event}@{c.at_time}")
     @pytest.mark.parametrize("name", sorted(RUNTIME_SETUPS))
     def test_runtime_tree(self, name, crash):
-        rows = crash_and_resume_runtime(name, "tree", crash)
-        assert schedule_digest(rows) == GOLDEN[name]["tree"]
-
-    @pytest.mark.parametrize("name", sorted(RUNTIME_SETUPS))
-    def test_runtime_calendar(self, name):
-        rows = crash_and_resume_runtime(
-            name, "calendar", CrashPoint(at_event=250))
-        assert schedule_digest(rows) == GOLDEN[name]["calendar"]
+        rows = crash_and_resume_runtime(name, crash)
+        assert schedule_digest(rows) == GOLDEN[name]["heap"]
 
     def test_double_crash(self):
         """Crash the resumed run again: chained checkpoints still converge."""
         name = "e4_phases"
         setup = DRIVE_SETUPS[name]
-        sched, arrivals, until = setup("tree")
+        sched, arrivals, until = setup()
         run = DriveRun(sched, arrivals, until)
         run.run(max_served=500)
         text = dumps_snapshot(run.snapshot_body())
 
-        _, arrivals2, _ = setup("tree")
+        _, arrivals2, _ = setup()
         resumed = DriveRun.restore(loads_snapshot(text), arrivals2)
         resumed.run(max_served=4000)
         text2 = dumps_snapshot(resumed.snapshot_body())
 
-        _, arrivals3, _ = setup("tree")
+        _, arrivals3, _ = setup()
         final = DriveRun.restore(loads_snapshot(text2), arrivals3)
         final.run()
-        assert schedule_digest(final.rows) == GOLDEN[name]["tree"]
+        assert schedule_digest(final.rows) == GOLDEN[name]["heap"]
 
 
 class TestSnapshotRefusal:
     def test_wrong_arrivals_refused(self):
-        sched, arrivals, until = DRIVE_SETUPS["e4_phases"]("tree")
+        sched, arrivals, until = DRIVE_SETUPS["e4_phases"]()
         run = DriveRun(sched, arrivals, until)
         run.run(max_served=50)
         body = loads_snapshot(dumps_snapshot(run.snapshot_body()))
-        _, other_arrivals, _ = DRIVE_SETUPS["rt_only"]("tree")
+        _, other_arrivals, _ = DRIVE_SETUPS["rt_only"]()
         with pytest.raises(SnapshotError) as err:
             DriveRun.restore(body, other_arrivals)
         assert err.value.reason == "scenario-mismatch"
 
+    @staticmethod
+    def _resume_with_eligible_set_label(label):
+        """Crash e4_phases, stamp the envelope with an old eligible-set
+        name (as written before H-FSC had one request set), resume."""
+        sched, arrivals, until = DRIVE_SETUPS["e4_phases"]()
+        run = DriveRun(sched, arrivals, until)
+        run.run(max_served=500)
+        body = loads_snapshot(dumps_snapshot(run.snapshot_body()))
+        assert "eligible_backend" not in body["scheduler"]["config"]
+        body["scheduler"]["config"]["eligible_backend"] = label
+        _, fresh_arrivals, _ = DRIVE_SETUPS["e4_phases"]()
+        resumed = DriveRun.restore(
+            loads_snapshot(dumps_snapshot(body)), fresh_arrivals)
+        resumed.run()
+        return resumed
+
+    @pytest.mark.parametrize("label", ["tree", "calendar", "heap"])
+    def test_legacy_eligible_set_label_restores(self, label):
+        resumed = self._resume_with_eligible_set_label(label)
+        assert schedule_digest(resumed.rows) == GOLDEN["e4_phases"]["heap"]
+
+    def test_unknown_eligible_set_label_refused(self):
+        with pytest.raises(SnapshotError) as err:
+            self._resume_with_eligible_set_label("bogus")
+        assert err.value.reason == "bad-config"
+
     def test_runtime_restore_is_atomic(self):
         """A corrupted body leaves the fresh context fully usable."""
-        ctx, until = RUNTIME_SETUPS["eventloop_mixed"]("tree")
+        ctx, until = RUNTIME_SETUPS["eventloop_mixed"]()
         run_checkpointed(ctx, until, crash=CrashPoint(at_event=100),
                          on_checkpoint=lambda _: None)
         body = json.loads(json.dumps(ctx.snapshot_body()))
         body["components"]["recorder"]["type"] = "Imposter"
 
-        fresh, fresh_until = RUNTIME_SETUPS["eventloop_mixed"]("tree")
+        fresh, fresh_until = RUNTIME_SETUPS["eventloop_mixed"]()
         with pytest.raises(SnapshotError) as err:
             fresh.restore_body(body)
         assert err.value.reason == "context-mismatch"
@@ -143,13 +162,13 @@ class TestSnapshotRefusal:
             (r.class_id, r.size, r.departed, r.via_realtime)
             for r in fresh.component("recorder").records
         ]
-        assert schedule_digest(rows) == GOLDEN["eventloop_mixed"]["tree"]
+        assert schedule_digest(rows) == GOLDEN["eventloop_mixed"]["heap"]
 
 
 class TestCheckpointFiles:
     def test_checkpoint_every_writes_resumable_files(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        ctx, until = RUNTIME_SETUPS["eventloop_mixed"]("tree")
+        ctx, until = RUNTIME_SETUPS["eventloop_mixed"]()
         seen = []
         finished = run_checkpointed(
             ctx, until, checkpoint_path=path, every_events=300,
@@ -159,18 +178,18 @@ class TestCheckpointFiles:
         assert os.path.exists(path)
         # The last on-disk checkpoint is the finished run; restoring it
         # and running to the horizon is a no-op that matches the golden.
-        fresh, fresh_until = RUNTIME_SETUPS["eventloop_mixed"]("tree")
+        fresh, fresh_until = RUNTIME_SETUPS["eventloop_mixed"]()
         fresh.restore_body(load_snapshot(path))
         fresh.loop.run(until=fresh_until)
         rows = [
             (r.class_id, r.size, r.departed, r.via_realtime)
             for r in fresh.component("recorder").records
         ]
-        assert schedule_digest(rows) == GOLDEN["eventloop_mixed"]["tree"]
+        assert schedule_digest(rows) == GOLDEN["eventloop_mixed"]["heap"]
 
     def test_signal_requests_checkpoint(self, tmp_path):
         path = str(tmp_path / "ck.json")
-        ctx, until = RUNTIME_SETUPS["eventloop_mixed"]("tree")
+        ctx, until = RUNTIME_SETUPS["eventloop_mixed"]()
         request = SignalCheckpointRequest().install(signal.SIGUSR1)
         try:
             os.kill(os.getpid(), signal.SIGUSR1)
@@ -181,14 +200,14 @@ class TestCheckpointFiles:
             request.uninstall()
         assert not finished  # stopped at the first boundary after the signal
         assert ctx.loop.now < until
-        fresh, fresh_until = RUNTIME_SETUPS["eventloop_mixed"]("tree")
+        fresh, fresh_until = RUNTIME_SETUPS["eventloop_mixed"]()
         fresh.restore_body(load_snapshot(path))
         fresh.loop.run(until=fresh_until)
         rows = [
             (r.class_id, r.size, r.departed, r.via_realtime)
             for r in fresh.component("recorder").records
         ]
-        assert schedule_digest(rows) == GOLDEN["eventloop_mixed"]["tree"]
+        assert schedule_digest(rows) == GOLDEN["eventloop_mixed"]["heap"]
 
 
 class TestPeriodicTaskResume:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import flatstate
 from repro.core.curves import ServiceCurve
 from repro.core.errors import OverloadError, ReconfigurationError
 from repro.core.hfsc import HFSC, ROOT
@@ -53,9 +54,10 @@ def test_update_class_rt_curve_while_backlogged():
 def test_update_class_removing_rt_clears_eligible_membership():
     sched = _two_leaf()
     sched.enqueue(pkt("a", 100.0), 0.0)
-    assert sched["a"] in sched._eligible
+    a = sched["a"]
+    assert flatstate.elig_contains(a.state, a.slot)
     sched.update_class("a", 0.0, rt_sc=None, ls_sc=ServiceCurve.linear(600.0))
-    assert sched["a"] not in sched._eligible
+    assert not flatstate.elig_contains(a.state, a.slot)
     assert sched["a"].rt_spec is None
     sched.check_invariants()
     # Still served, via link-sharing.
@@ -234,7 +236,7 @@ def test_rebuild_restores_service_after_manual_corruption():
         sched.enqueue(pkt("a", 100.0), 0.0)
     # Corrupt a derived structure the way a hypothetical bug would: the
     # eligible set forgets the backlogged class.
-    sched._eligible.remove(sched["a"])
+    flatstate.elig_remove(sched["a"].state, sched["a"].slot)
     with pytest.raises(AssertionError):
         sched.check_invariants()
     sched.rebuild(0.2)
@@ -252,6 +254,17 @@ def test_set_link_rate_validates_and_invalidates_admission():
     sched.set_link_rate(2000.0)
     assert sched.link_rate == 2000.0
     assert sched.root.ls_spec.m2 == 2000.0
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+def test_set_link_rate_refuses_non_finite(rate):
+    sched = _two_leaf()
+    before = sched.link_rate
+    with pytest.raises(ReconfigurationError) as err:
+        sched.set_link_rate(rate)
+    assert err.value.context["reason"] == "non-finite-rate"
+    assert sched.link_rate == before
+    assert sched.root.ls_spec.m2 == before
 
 
 def test_policy_raise_carries_structured_context():

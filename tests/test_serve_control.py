@@ -161,6 +161,26 @@ class TestReconfiguration:
         assert svc.link.rate == 0.0
         assert svc.scheduler.link_rate == 500.0
 
+    def test_set_link_rate_refuses_non_finite(self):
+        svc = make_service()
+        server = ControlServer(svc)
+        # A string survives JSON parsing and reaches the float() coercion.
+        for rate in ("nan", "inf", "-inf"):
+            assert err(server, {"op": "set_link_rate", "rate": rate})
+        assert svc.link.rate == 1000.0
+        assert svc.scheduler.link_rate == 1000.0
+
+    def test_nan_and_infinity_literals_refused(self):
+        svc = make_service()
+        server = ControlServer(svc)
+        for literal in (b"NaN", b"Infinity", b"-Infinity"):
+            line = b'{"op": "set_link_rate", "rate": ' + literal + b"}"
+            response = json.loads(server.dispatch_line(line))
+            assert not response["ok"]
+            assert response["error"]["type"] == "ControlError"
+            assert "not JSON" in response["error"]["message"]
+        assert svc.link.rate == 1000.0
+
 
 class TestRateBackendReconfiguration:
     def test_hls_update_class_by_rate(self):

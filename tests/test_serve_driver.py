@@ -22,7 +22,7 @@ from repro.sim.engine import EventLoop
 from repro.sim.link import Link
 from repro.sim.packet import Packet
 
-from tests.golden_scenarios import BACKENDS, load_golden, schedule_digest
+from tests.golden_scenarios import DIGEST_COLUMNS, load_golden, schedule_digest
 
 GOLDEN = load_golden()
 
@@ -41,14 +41,14 @@ class FakeClock:
         self.t += dt
 
 
-def _run_drive_scenario(setup, backend, make_driver):
+def _run_drive_scenario(setup, make_driver):
     """One golden drive-setup scenario through a Link under a driver.
 
     Same-instant arrivals go through ``offer_batch`` so an idle link picks
     among the whole batch, matching ``drive``'s simultaneous-arrival
     semantics (and hence the pinned digests).
     """
-    sched, arrivals, until = setup(backend)
+    sched, arrivals, until = setup()
     loop = EventLoop()
     link = Link(loop, sched)
     rows = []
@@ -71,40 +71,40 @@ def _run_drive_scenario(setup, backend, make_driver):
     return rows
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("column", DIGEST_COLUMNS)
 @pytest.mark.parametrize("name", sorted(DRIVE_SETUPS))
-def test_hybrid_mode_reproduces_golden_digests(name, backend):
+def test_hybrid_mode_reproduces_golden_digests(name, column):
     """time_scale=0 is byte-identical to the event-driven simulator."""
     rows = _run_drive_scenario(
-        DRIVE_SETUPS[name], backend,
+        DRIVE_SETUPS[name],
         lambda loop: RealTimeDriver(loop, time_scale=0.0),
     )
-    assert schedule_digest(rows) == GOLDEN[name][backend]
+    assert schedule_digest(rows) == GOLDEN[name][column]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_hybrid_mode_eventloop_mixed_digest(backend):
-    ctx, until = eventloop_mixed_context(backend)
+@pytest.mark.parametrize("column", DIGEST_COLUMNS)
+def test_hybrid_mode_eventloop_mixed_digest(column):
+    ctx, until = eventloop_mixed_context()
     RealTimeDriver(ctx.loop, time_scale=0.0).run(until=until)
     rows = [
         (r.class_id, r.size, r.departed, r.via_realtime)
         for r in ctx.component("recorder").records
     ]
-    assert schedule_digest(rows) == GOLDEN["eventloop_mixed"][backend]
+    assert schedule_digest(rows) == GOLDEN["eventloop_mixed"][column]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("column", DIGEST_COLUMNS)
 @pytest.mark.parametrize("name", sorted(DRIVE_SETUPS))
-def test_paced_mode_reproduces_golden_digests(name, backend):
+def test_paced_mode_reproduces_golden_digests(name, column):
     """Pacing (fake wall clock, time_scale=1) never changes the schedule."""
     clock = FakeClock()
     rows = _run_drive_scenario(
-        DRIVE_SETUPS[name], backend,
+        DRIVE_SETUPS[name],
         lambda loop: RealTimeDriver(
             loop, time_scale=1.0, clock=clock, sleep=clock.sleep
         ),
     )
-    assert schedule_digest(rows) == GOLDEN[name][backend]
+    assert schedule_digest(rows) == GOLDEN[name][column]
 
 
 def test_paced_clock_mapping_and_lag():

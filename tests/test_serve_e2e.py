@@ -150,6 +150,33 @@ class TestLoopback:
         assert 0.40 <= gold <= 0.76, report["per_class"]
         assert report["fairness"]["jain"] > 0.9, report["fairness"]
 
+    def test_largest_udp_datagram_arrives_whole(self):
+        """The ingress receive buffer holds any UDP datagram untruncated
+        (the charged size is the received length)."""
+        service = ServeService(
+            split_specs(10_000.0), 10_000.0, time_scale=1.0,
+            watchdog_period=0.0,
+        )
+        largest = 65_507  # IPv4: 65,535 minus the IP and UDP headers
+
+        async def scenario():
+            host, port = await service.start_udp("127.0.0.1", 0)
+            aio = asyncio.get_running_loop()
+            transport, _ = await aio.create_datagram_endpoint(
+                asyncio.DatagramProtocol, remote_addr=(host, port)
+            )
+            transport.sendto(encode_packet("gold#0", 0, 0.0, largest))
+            await asyncio.sleep(0.2)
+            transport.close()
+            service.request_stop(snapshot=False)
+            await service.run(duration=5.0, install_signals=False,
+                              idle_poll=0.05)
+
+        asyncio.run(scenario())
+        plane = service.dataplane
+        assert plane.delivered == 1
+        assert plane.bytes_in == largest
+
     def test_unknown_flows_are_shed_not_fatal(self):
         service = ServeService(
             split_specs(10_000.0), 10_000.0, time_scale=1.0,

@@ -325,6 +325,20 @@ class TestDegradedMutations:
         ClusterControl(manager)._require_all_available("add_class")
 
 
+class TestControlParsing:
+    def test_nan_literal_refused_before_fanout(self, tmp_path):
+        control = ClusterControl(make_manager(tmp_path))
+
+        async def scenario():
+            line = b'{"op": "set_link_rate", "rate": NaN}\n'
+            return json.loads(await control.dispatch_line(line))
+
+        response = asyncio.run(scenario())
+        assert not response["ok"]
+        assert response["error"]["type"] == "ClusterError"
+        assert "not JSON" in response["error"]["message"]
+
+
 class TestHealthRendering:
     def test_health_doc_and_prometheus_lines(self, tmp_path):
         manager = make_manager(tmp_path)
