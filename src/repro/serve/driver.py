@@ -18,21 +18,30 @@ has caught up to them.
   ``tests/test_serve_driver.py`` asserts they match.
 
 Pacing never changes the schedule either: the paced loop runs the event
-queue in chunks ``loop.run(until=t_next)``, and chunked runs are
+queue in chunks ``loop.run(until=t)``, and chunked runs are
 digest-equivalent to one big run (events fire at their own timestamps in
-(time, seq) order either way; the busy-serve inline drain falls back to
-ordinary heap events at chunk boundaries, which PR 1's golden suite proved
-byte-identical).  The wall clock only decides *when* a chunk runs.
+(time, seq) order either way; the link's inline busy-serve drain falls
+back to ordinary heap events at chunk boundaries).  The wall clock only
+decides *when* a chunk runs.
 
-The driver is synchronous-first (``run``) for tests and trace replay, with
-an asyncio pacing task (``serve``) for the long-lived service: ingress and
-control-plane callbacks inject events with :meth:`call_soon`, which wakes
-the pacing task so a new arrival is never stuck behind a long idle sleep.
-Arrivals are fed in bursts: the dataplane coalesces every datagram
-accepted between two event-loop turns into one delivery event
-(:meth:`repro.serve.ingress.Dataplane._deliver_burst`), so ``call_soon``
-and the scheduler's batched enqueue are paid once per burst, not once per
-packet -- the amortization that lets the serve smoke hold 50k pkt/s.
+:meth:`RealTimeDriver.run` paces synchronously (tests, trace replay).
+:meth:`RealTimeDriver.serve` paces under asyncio with one *pump*
+callback and no task of its own: a pump runs every event the wall clock
+has released, runs one more pass if events fell due meanwhile, and then
+either re-queues itself with ``call_soon`` (still behind: sockets and
+control get a turn first) or arms a single timer for the next event's
+wall deadline (or ``until``).  ``serve`` itself only awaits a future,
+resolved when the pump reaches ``until`` or by
+:meth:`~RealTimeDriver.stop`, or failed with the first exception a
+pumped event or socket drain raised.
+
+Everything that injects work wakes the pump: :meth:`call_soon` (arrivals
+and control) and :meth:`run_due` (a control op about to mutate the link
+or hierarchy, which may move the next event earlier).  A socket endpoint
+reads its whole backlog and then pumps inline through :meth:`pump_after`,
+so a burst of datagrams reaches the scheduler in the same event-loop
+turn it arrived in (:meth:`repro.serve.ingress.Dataplane._deliver_burst`
+coalesces it into one delivery event and one batched enqueue).
 """
 
 from __future__ import annotations
@@ -43,8 +52,6 @@ from typing import Any, Callable, Optional
 
 from repro.core.errors import ConfigurationError
 from repro.sim.engine import Event, EventLoop
-
-_INF = float("inf")
 
 
 class RealTimeDriver:
@@ -61,7 +68,7 @@ class RealTimeDriver:
     clock, sleep:
         Injectable monotonic clock and blocking sleep, so tests can pace
         against a fake clock deterministically.  ``sleep`` is only used
-        by the synchronous :meth:`run`; :meth:`serve` awaits instead.
+        by the synchronous :meth:`run`; :meth:`serve` arms asyncio timers.
     """
 
     def __init__(
@@ -79,8 +86,18 @@ class RealTimeDriver:
         self.sleep = sleep
         self._wall0: Optional[float] = None
         self._sim0 = 0.0
-        self._wake: Optional[asyncio.Event] = None
+        #: Whether :meth:`stop` was called since :meth:`serve` last began.
         self._stopping = False
+        # Asyncio pacing state, live only inside serve(): the loop, the
+        # horizon, the future serve() awaits, and the one pending pump
+        # callback (a timer, or a call_soon while behind).  ``_pumping``
+        # is True while a pump runs or is queued to run next turn: it will
+        # see any event injected meanwhile, so wakes are no-ops then.
+        self._aio: Optional[asyncio.AbstractEventLoop] = None
+        self._until: Optional[float] = None
+        self._done: Optional[asyncio.Future] = None
+        self._handle: Optional[asyncio.Handle] = None
+        self._pumping = False
         #: Wall-clock lag high-water mark: how far (in wall seconds) event
         #: processing has fallen behind its deadline.  A persistently
         #: growing value means the host cannot keep up with the offered
@@ -120,11 +137,10 @@ class RealTimeDriver:
         This is how the outside world enters the deterministic event
         order: arrivals and control operations become ordinary loop
         events stamped with the simulated time their wall-clock moment
-        maps to.  Wakes a pending :meth:`serve` sleep.
+        maps to.  Wakes a sleeping :meth:`serve` pump.
         """
         event = self.loop.schedule(self.sim_now(), fn, *args)
-        if self._wake is not None:
-            self._wake.set()
+        self._wake()
         return event
 
     def run_due(self) -> float:
@@ -132,9 +148,13 @@ class RealTimeDriver:
 
         Control-plane mutations call this first so they apply at a
         consistent ``loop.now`` (never amid a backlog of past events).
-        Returns the advanced ``loop.now``.
+        The caller is about to change the schedule (a new link rate moves
+        the in-flight departure), so this also queues a pump for the next
+        event-loop turn, which re-reads the next deadline after the
+        change.  Returns the advanced ``loop.now``.
         """
         self.loop.run(until=self.sim_now())
+        self._wake()
         return self.loop.now
 
     # -- synchronous pacing (tests, trace replay, repro run --realtime) ------
@@ -174,23 +194,21 @@ class RealTimeDriver:
     # -- asyncio pacing (the long-lived service) -----------------------------
 
     def stop(self) -> None:
-        """Ask a running :meth:`serve` task to exit at the next wake-up."""
+        """Make a running :meth:`serve` return; pending events stay queued."""
         self._stopping = True
-        if self._wake is not None:
-            self._wake.set()
+        done = self._done
+        if done is not None and not done.done():
+            done.set_result(None)
 
-    async def serve(
-        self,
-        until: Optional[float] = None,
-        idle_poll: float = 0.25,
-    ) -> None:
+    async def serve(self, until: Optional[float] = None) -> None:
         """Pace the loop forever (or to simulated ``until``) under asyncio.
 
-        Between chunks the task sleeps until the next event's wall
-        deadline -- or until :meth:`call_soon` / :meth:`stop` wakes it.
-        ``idle_poll`` bounds the sleep when the queue is empty so an
-        otherwise-idle service still notices ``until`` and shutdown
-        promptly even without traffic.
+        Between pumps nothing runs but one timer, armed for the next
+        event's wall deadline (or ``until``); with no event pending and
+        no horizon there is no timer at all, and the next injection
+        (:meth:`call_soon`, :meth:`run_due`) wakes the pump.
+        An exception raised by a pumped event, or by a socket drain run
+        through :meth:`pump_after`, ends serving and is raised here.
 
         In hybrid mode (``time_scale == 0``) a bounded ``until`` is
         required -- with periodic tasks armed, an unpaced unbounded drain
@@ -200,48 +218,100 @@ class RealTimeDriver:
         """
         self.start()
         self._stopping = False
-        self._wake = asyncio.Event()
-        loop = self.loop
+        if self.time_scale <= 0.0:
+            if until is None:
+                raise ConfigurationError(
+                    "time_scale=0 serving needs a bounded 'until' "
+                    "(an unpaced unbounded drain never returns)"
+                )
+            self.loop.run(until=until)
+            return
+        aio = asyncio.get_running_loop()
+        self._aio = aio
+        self._until = until
+        self._done = done = aio.create_future()
         try:
-            while not self._stopping:
-                self._wake.clear()
-                if self.time_scale <= 0.0:
-                    if until is None:
-                        raise ConfigurationError(
-                            "time_scale=0 serving needs a bounded 'until' "
-                            "(an unpaced unbounded drain never returns)"
-                        )
-                    loop.run(until=until)
-                    return
-                else:
-                    target = self.sim_now()
-                    if until is not None and target > until:
-                        target = until
-                    loop.run(until=target)
-                    if until is not None and loop.now >= until:
-                        return
-                    t_next = loop.peek_time()
-                    if t_next is None:
-                        timeout = idle_poll
-                    else:
-                        if until is not None and t_next > until:
-                            t_next = until
-                        timeout = self.wall_deadline(t_next) - self.clock()
-                        lag = -timeout
-                        if lag > self.max_lag:
-                            self.max_lag = lag
-                        if timeout < 0.0:
-                            timeout = 0.0
-                        elif timeout > idle_poll and until is None:
-                            # Stay loosely responsive even if a wake is
-                            # lost to a race we have not imagined.
-                            timeout = max(idle_poll, timeout / 2.0)
-                try:
-                    await asyncio.wait_for(self._wake.wait(), timeout)
-                except asyncio.TimeoutError:
-                    pass
-                # Yield at least once per iteration so a zero timeout
-                # cannot starve ingress callbacks on the asyncio loop.
-                await asyncio.sleep(0)
+            self._pump()
+            await done
         finally:
-            self._wake = None
+            if self._handle is not None:
+                self._handle.cancel()
+            self._aio = self._done = self._handle = None
+            self._pumping = False
+
+    def pump_after(self, drain: Callable[[], None]) -> None:
+        """Run ``drain`` (a socket read loop), then pump once, inline.
+
+        Events ``drain`` injects do not queue separate wakes: the pump
+        that follows runs them in this same event-loop turn.  An
+        exception from either ends a running :meth:`serve` with it.
+        """
+        self._pumping = True
+        try:
+            drain()
+        except Exception as exc:
+            if not self._fail(exc):
+                raise
+        self._pump()
+
+    def _wake(self) -> None:
+        """Queue a pump for the next event-loop turn (replacing a timer)."""
+        if self._pumping or self._aio is None:
+            return
+        if self._handle is not None:
+            self._handle.cancel()
+        self._pumping = True
+        self._handle = self._aio.call_soon(self._pump)
+
+    def _fail(self, exc: BaseException) -> bool:
+        done = self._done
+        if done is None or done.done():
+            return False
+        done.set_exception(exc)
+        return True
+
+    def _pump(self) -> None:
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+        done = self._done
+        if done is None or done.done():
+            self._pumping = False
+            return
+        self._pumping = True
+        loop = self.loop
+        until = self._until
+        try:
+            t_next = loop.peek_time()
+            if t_next is not None:
+                lag = self.clock() - self.wall_deadline(t_next)
+                if lag > self.max_lag:
+                    self.max_lag = lag
+            for _ in range(2):
+                target = self.sim_now()
+                if until is not None and target > until:
+                    target = until
+                loop.run(until=target)
+                if until is not None and loop.now >= until:
+                    done.set_result(None)
+                    return
+                t_next = loop.peek_time()
+                if t_next is None or t_next > self.sim_now():
+                    break
+            else:
+                # Still behind after a second pass: give sockets and
+                # control a turn before catching up further.
+                self._handle = self._aio.call_soon(self._pump)
+                return
+        except Exception as exc:
+            self._fail(exc)
+            return
+        if done.done():  # stop() from inside a pumped event
+            return
+        if until is not None and (t_next is None or t_next > until):
+            t_next = until
+        self._pumping = False
+        if t_next is not None:
+            delay = self.wall_deadline(t_next) - self.clock()
+            self._handle = self._aio.call_later(
+                delay if delay > 0.0 else 0.0, self._pump)

@@ -27,7 +27,8 @@ exception on the hot path:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.errors import ConfigurationError, OverloadError
 from repro.obs.core import TELEMETRY as _TELEM
@@ -45,9 +46,10 @@ from repro.sim.packet import Packet
 class Dataplane:
     """Parse, classify, bound, inject; reflect departures back out.
 
-    The dataplane owns no sockets -- asyncio transports hand datagrams to
-    :meth:`ingest` and are remembered per packet so the departure notice
-    goes back out of the socket the packet came in on.
+    The dataplane owns no sockets -- each :class:`DatagramEndpoint` hands
+    its datagrams to :meth:`ingest` together with its reflect sender,
+    which is remembered per packet so the departure notice goes back out
+    of the socket the packet came in on.
     """
 
     def __init__(
@@ -73,6 +75,9 @@ class Dataplane:
         self.shed_unknown = 0
         self.shed_buffer = 0
         self.shed_overload = 0
+        #: Socket reads that returned an error instead of a datagram (the
+        #: ICMP report of a vanished sender); each is skipped.
+        self.read_errors = 0
         #: Packets currently between scheduler arrival and departure, per
         #: class -- the bounded buffer the edge enforces.
         self.backlog: Dict[Any, int] = {}
@@ -224,6 +229,7 @@ class Dataplane:
                 "overload": self.shed_overload,
                 "total": self.shed_total,
             },
+            "read_errors": self.read_errors,
             "bytes_in": self.bytes_in,
             "bytes_out": self.bytes_out,
             "backlog": {str(k): v for k, v in sorted(
@@ -231,21 +237,103 @@ class Dataplane:
         }
 
 
-class DatagramIngressProtocol:
-    """asyncio protocol glue: one instance per bound socket."""
+class DatagramEndpoint:
+    """One bound, non-blocking datagram socket (UDP or unix-domain).
 
-    def __init__(self, dataplane: Dataplane):
+    On each readiness event the endpoint reads datagrams with ``recvfrom``
+    until the socket would block, hands each to :meth:`Dataplane.ingest`,
+    and then pumps the driver inline (:meth:`RealTimeDriver.pump_after`),
+    so a whole burst reaches :meth:`~repro.sim.link.Link.offer_batch` in
+    the turn it arrived in.  A read error (the ICMP "port unreachable" a
+    vanished sender leaves behind) consumes only itself; the drain goes
+    on.
+
+    The endpoint is also the reflect sender: :meth:`sendto` writes a
+    notice straight out and, when the socket buffer is full, queues it
+    behind a writer callback instead of dropping it.  Ingest is handed
+    :attr:`transport` (by default the endpoint itself), looked up per
+    readiness event so a wrapper installed there sends every notice.
+    """
+
+    #: Largest datagram read whole: any UDP datagram fits.
+    RECV_SIZE = 65_535
+    #: Datagrams read per readiness event at most, so a sender faster
+    #: than the service cannot starve timers and control forever.
+    MAX_BURST = 1024
+
+    def __init__(self, aio: Any, sock: Any, dataplane: Dataplane):
+        sock.setblocking(False)
+        self._aio = aio
+        self.sock = sock
         self.dataplane = dataplane
-        self.transport = None
+        self.transport: Any = self
+        self._fd = sock.fileno()
+        self._unsent: Deque[Tuple[bytes, Any]] = deque()
+        aio.add_reader(self._fd, self._on_readable)
 
-    def connection_made(self, transport) -> None:
-        self.transport = transport
+    def get_protocol(self) -> "DatagramEndpoint":
+        """The endpoint is its own protocol: ``get_protocol().transport``
+        is the reflect sender, as on an asyncio datagram transport."""
+        return self
 
-    def connection_lost(self, exc) -> None:
-        self.transport = None
+    def close(self) -> None:
+        if self._fd < 0:
+            return
+        self._aio.remove_reader(self._fd)
+        if self._unsent:
+            self._aio.remove_writer(self._fd)
+            self._unsent.clear()
+        self._fd = -1
+        self.sock.close()
 
-    def error_received(self, exc) -> None:  # pragma: no cover - kernel-driven
-        pass
+    # -- receive -------------------------------------------------------------
 
-    def datagram_received(self, data: bytes, addr: Any) -> None:
-        self.dataplane.ingest(data, addr, self.transport)
+    def _on_readable(self) -> None:
+        self.dataplane.driver.pump_after(self._drain)
+
+    def _drain(self) -> None:
+        recvfrom = self.sock.recvfrom
+        ingest = self.dataplane.ingest
+        sender = self.transport
+        size = self.RECV_SIZE
+        for _ in range(self.MAX_BURST):
+            try:
+                data, addr = recvfrom(size)
+            except BlockingIOError:
+                return
+            except OSError:
+                self.dataplane.read_errors += 1
+                continue
+            ingest(data, addr, sender)
+
+    # -- reflect -------------------------------------------------------------
+
+    def sendto(self, data: bytes, addr: Any) -> None:
+        if not self._unsent:
+            try:
+                self._send(data, addr)
+                return
+            except BlockingIOError:
+                self._aio.add_writer(self._fd, self._flush)
+        self._unsent.append((data, addr))
+
+    def _send(self, data: bytes, addr: Any) -> None:
+        try:
+            self.sock.sendto(data, addr)
+        except ConnectionRefusedError:
+            # The ICMP report of an earlier datagram to another receiver
+            # fails whichever call comes next, and is consumed by it.
+            self.sock.sendto(data, addr)
+
+    def _flush(self) -> None:
+        unsent = self._unsent
+        while unsent:
+            data, addr = unsent[0]
+            try:
+                self._send(data, addr)
+            except BlockingIOError:
+                return
+            except OSError:
+                pass  # that receiver went away; the others still get theirs
+            unsent.popleft()
+        self._aio.remove_writer(self._fd)

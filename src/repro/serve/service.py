@@ -16,9 +16,10 @@ One :class:`ServeService` owns the whole dataplane + control-plane stack:
   added live, queued packets, virtual times and the clock all survive a
   restart via ``repro serve --resume``.
 
-Everything runs on one asyncio thread: socket callbacks inject events
-through :meth:`RealTimeDriver.call_soon` and control operations apply
-between pacing chunks, so scheduler state never sees concurrent access.
+Everything runs on one asyncio thread: each socket's reader drains its
+datagrams into the dataplane and pumps the driver in the same turn
+(:class:`~repro.serve.ingress.DatagramEndpoint`), and control operations
+apply between pumps, so scheduler state never sees concurrent access.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.persist.codec import load_snapshot, save_snapshot
 from repro.persist.runtime import RunContext
 from repro.serve.driver import RealTimeDriver
 from repro.serve.hierarchy import build_scheduler, leaf_names
-from repro.serve.ingress import Dataplane, DatagramIngressProtocol
+from repro.serve.ingress import Dataplane, DatagramEndpoint
 from repro.serve.wire import Classifier, SuffixClassifier
 from repro.sim.engine import EventLoop
 from repro.sim.faults import Watchdog
@@ -216,41 +217,46 @@ class ServeService:
         self, host: str, port: int, reuse_port: bool = False
     ) -> Any:
         aio = asyncio.get_running_loop()
+        address = f"udp://{host}:{port}"
         try:
-            transport, _ = await aio.create_datagram_endpoint(
-                lambda: DatagramIngressProtocol(self.dataplane),
-                local_addr=(host, port),
-                # Shard workers opt in so a cluster can also be deployed
-                # behind one kernel-sprayed port (misroutes shed by the
-                # shard classifier); None = platform default otherwise.
-                reuse_port=reuse_port or None,
-            )
+            # Runs once before serving, so a blocking lookup delays nothing.
+            infos = socket_module.getaddrinfo(
+                host, port, type=socket_module.SOCK_DGRAM)
         except OSError as exc:
-            raise BindError(f"udp://{host}:{port}", exc) from exc
-        # asyncio receives each datagram into a 256 KiB buffer, which is
-        # past glibc's mmap threshold unless an earlier free happened to
-        # raise it: recvfrom then pays an mmap/munmap pair and page faults
-        # per datagram, at a cost that depends on allocation history.  No
-        # UDP datagram exceeds 65,535 bytes, so this buffer loses nothing.
-        transport.max_size = 65_535
-        self._transports.append(transport)
-        return transport.get_extra_info("sockname")
+            raise BindError(address, exc) from exc
+        error: Optional[OSError] = None
+        for family, kind, proto, _, sockaddr in infos:
+            sock = None
+            try:
+                sock = socket_module.socket(family, kind, proto)
+                if reuse_port:
+                    # Shard workers opt in so a cluster can also be
+                    # deployed behind one kernel-sprayed port (misroutes
+                    # shed by the shard classifier).
+                    sock.setsockopt(socket_module.SOL_SOCKET,
+                                    socket_module.SO_REUSEPORT, 1)
+                sock.bind(sockaddr)
+            except OSError as exc:
+                if sock is not None:
+                    sock.close()
+                error = exc
+                continue
+            self._transports.append(
+                DatagramEndpoint(aio, sock, self.dataplane))
+            return sock.getsockname()
+        raise BindError(address, error) from error
 
     async def start_unix_datagram(self, path: str) -> str:
         aio = asyncio.get_running_loop()
         sock = socket_module.socket(
             socket_module.AF_UNIX, socket_module.SOCK_DGRAM
         )
-        sock.setblocking(False)
         try:
             sock.bind(path)
         except OSError as exc:
             sock.close()
             raise BindError(f"unix-dgram://{path}", exc) from exc
-        transport, _ = await aio.create_datagram_endpoint(
-            lambda: DatagramIngressProtocol(self.dataplane), sock=sock
-        )
-        self._transports.append(transport)
+        self._transports.append(DatagramEndpoint(aio, sock, self.dataplane))
         return path
 
     async def start_control(self, path: str) -> str:
@@ -301,7 +307,6 @@ class ServeService:
         self,
         duration: Optional[float] = None,
         install_signals: bool = True,
-        idle_poll: float = 0.25,
     ) -> None:
         """Serve until ``duration`` simulated seconds pass (or forever).
 
@@ -322,7 +327,7 @@ class ServeService:
                 self._checkpoint_loop()
             )
         try:
-            await self.driver.serve(until=until, idle_poll=idle_poll)
+            await self.driver.serve(until=until)
         finally:
             if checkpointer is not None:
                 checkpointer.cancel()

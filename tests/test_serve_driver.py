@@ -15,7 +15,7 @@ import asyncio
 
 import pytest
 
-from repro.core.errors import ConfigurationError
+from repro.core.errors import ConfigurationError, SimulationError
 from repro.persist.scenarios import DRIVE_SETUPS, eventloop_mixed_context
 from repro.serve.driver import RealTimeDriver
 from repro.sim.engine import EventLoop
@@ -170,7 +170,7 @@ def test_serve_paced_drains_until_horizon():
     loop.schedule(1.5, fired.append, 2)
 
     async def scenario():
-        await driver.serve(until=2.0, idle_poll=0.001)
+        await driver.serve(until=2.0)
 
     asyncio.run(scenario())
     assert fired == [1, 2]
@@ -190,3 +190,58 @@ def test_serve_stop_wakes_and_exits():
 
     asyncio.run(scenario())
     assert loop.peek_time() == pytest.approx(3600.0)  # never ran
+
+
+def test_run_due_rearms_a_sleeping_pump():
+    """A change that moves the next event earlier (here: a new event
+    scheduled straight on the loop, as a link-rate change reschedules
+    the in-flight departure) takes effect once ``run_due`` is called,
+    not at the old deadline an hour out."""
+    loop = EventLoop()
+    driver = RealTimeDriver(loop, time_scale=1.0)
+    loop.schedule(3600.0, lambda: None)
+    fired = []
+
+    async def scenario():
+        task = asyncio.ensure_future(driver.serve(until=None))
+        await asyncio.sleep(0.05)
+        loop.schedule(driver.run_due() + 0.01, fired.append, "early")
+        await asyncio.sleep(0.2)
+        driver.stop()
+        await asyncio.wait_for(task, timeout=2.0)
+
+    asyncio.run(scenario())
+    assert fired == ["early"]
+
+
+def _boom():
+    raise SimulationError("event failed")
+
+
+def test_serve_raises_what_a_timed_event_raised():
+    loop = EventLoop()
+    driver = RealTimeDriver(loop, time_scale=0.01)
+    loop.schedule(0.5, _boom)
+    loop.schedule(0.6, pytest.fail, "events after the failure ran")
+
+    async def scenario():
+        with pytest.raises(SimulationError, match="event failed"):
+            await asyncio.wait_for(driver.serve(until=None), timeout=2.0)
+
+    asyncio.run(scenario())
+    assert loop.now == pytest.approx(0.5)
+
+
+def test_serve_raises_what_an_injected_event_raised():
+    loop = EventLoop()
+    driver = RealTimeDriver(loop, time_scale=1.0)
+    loop.schedule(3600.0, lambda: None)
+
+    async def scenario():
+        task = asyncio.ensure_future(driver.serve(until=None))
+        await asyncio.sleep(0.02)
+        driver.call_soon(_boom)
+        with pytest.raises(SimulationError, match="event failed"):
+            await asyncio.wait_for(task, timeout=2.0)
+
+    asyncio.run(scenario())

@@ -10,14 +10,21 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
+import sys
+import time
 
 import pytest
 
 from repro.core.curves import ServiceCurve
+from repro.core.errors import SimulationError
 from repro.core.hierarchy import ClassSpec
+from repro.serve.control import ControlServer
+from repro.serve.hierarchy import hierarchy_preset, leaf_names
+from repro.serve.ingress import DatagramEndpoint
 from repro.serve.loadgen import LoadGenerator, run_load
 from repro.serve.service import ServeService
-from repro.serve.wire import encode_packet
+from repro.serve.wire import decode_departure, encode_packet
 
 
 def split_specs(link_rate):
@@ -46,8 +53,7 @@ class TestLoopback:
         async def scenario():
             host, port = await service.start_udp("127.0.0.1", 0)
             serve = asyncio.ensure_future(
-                service.run(duration=8.0, install_signals=False,
-                            idle_poll=0.05)
+                service.run(duration=8.0, install_signals=False)
             )
             load = asyncio.ensure_future(
                 run_load(f"{host}:{port}", generator, drain=0.8)
@@ -113,8 +119,7 @@ class TestLoopback:
         async def scenario():
             host, port = await service.start_udp("127.0.0.1", 0)
             serve = asyncio.ensure_future(
-                service.run(duration=8.0, install_signals=False,
-                            idle_poll=0.05)
+                service.run(duration=8.0, install_signals=False)
             )
             load = asyncio.ensure_future(
                 run_load(f"{host}:{port}", generator, drain=0.8)
@@ -169,8 +174,7 @@ class TestLoopback:
             await asyncio.sleep(0.2)
             transport.close()
             service.request_stop(snapshot=False)
-            await service.run(duration=5.0, install_signals=False,
-                              idle_poll=0.05)
+            await service.run(duration=5.0, install_signals=False)
 
         asyncio.run(scenario())
         plane = service.dataplane
@@ -195,14 +199,207 @@ class TestLoopback:
             await asyncio.sleep(0.2)
             transport.close()
             service.request_stop(snapshot=False)
-            await service.run(duration=5.0, install_signals=False,
-                              idle_poll=0.05)
+            await service.run(duration=5.0, install_signals=False)
 
         asyncio.run(scenario())
         plane = service.dataplane
         assert plane.shed_unparseable == 1
         assert plane.shed_unknown == 1
         assert plane.delivered == 1
+
+
+#: Linux's value; older Pythons do not export the name.
+IP_RECVERR = getattr(socket, "IP_RECVERR", None) or 11
+
+
+class _Notices(asyncio.DatagramProtocol):
+    """A client socket that queues every departure notice it receives."""
+
+    def __init__(self):
+        self.queue: asyncio.Queue = asyncio.Queue()
+
+    def datagram_received(self, data, addr):
+        self.queue.put_nowait(decode_departure(data))
+
+
+async def _client(host, port):
+    aio = asyncio.get_running_loop()
+    transport, notices = await aio.create_datagram_endpoint(
+        _Notices, remote_addr=(host, port))
+    return transport, notices.queue
+
+
+async def _wait_for(predicate, timeout=2.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out"
+        await asyncio.sleep(0.002)
+
+
+class TestPumpAndEndpoint:
+    def test_link_rate_change_wakes_the_pacer(self):
+        """A control op that moves the next event earlier re-arms the
+        pacer.  With the watchdog off the only pending event is the
+        in-flight departure, 10 s out at 100 B/s; once the rate is 1e9
+        B/s its notice must come promptly, not at the old deadline."""
+        specs = hierarchy_preset("campus", 100.0)
+        service = ServeService(specs, 100.0, time_scale=1.0,
+                               watchdog_period=0.0)
+        flow = f"{leaf_names(specs)[0]}#0"
+        seen = {}
+
+        async def scenario():
+            host, port = await service.start_udp("127.0.0.1", 0)
+            serve = asyncio.ensure_future(service.run(install_signals=False))
+            transport, notices = await _client(host, port)
+            transport.sendto(encode_packet(flow, 0, 0.0, 1000))
+            await _wait_for(lambda: service.dataplane.delivered == 1)
+            await asyncio.sleep(0.2)  # the pacer sleeps on the 10 s deadline
+            seen["reply"] = json.loads(ControlServer(service).dispatch_line(
+                json.dumps({"op": "set_link_rate", "rate": 1e9}).encode()))
+            t0 = time.monotonic()
+            await asyncio.wait_for(notices.get(), timeout=5.0)
+            seen["late_s"] = time.monotonic() - t0
+            transport.close()
+            service.request_stop(snapshot=False)
+            await serve
+
+        asyncio.run(scenario())
+        assert seen["reply"]["ok"], seen
+        assert seen["late_s"] < 0.1, seen
+
+    def test_reader_error_surfaces_from_run(self):
+        """An exception inside the socket reader ends ``run`` with that
+        exception (and closes the sockets) instead of hanging it."""
+        service = ServeService(split_specs(1e4), 1e4, time_scale=1.0,
+                               watchdog_period=0.0)
+
+        def broken_ingest(data, addr, transport=None):
+            raise SimulationError("ingest failed")
+
+        async def scenario():
+            host, port = await service.start_udp("127.0.0.1", 0)
+            service.dataplane.ingest = broken_ingest
+            serve = asyncio.ensure_future(service.run(install_signals=False))
+            transport, _ = await _client(host, port)
+            transport.sendto(encode_packet("gold#0", 0, 0.0, 64))
+            try:
+                with pytest.raises(SimulationError, match="ingest failed"):
+                    await asyncio.wait_for(serve, timeout=2.0)
+            finally:
+                transport.close()
+
+        asyncio.run(scenario())
+        assert service._transports == []
+
+    def test_drain_yields_after_max_burst(self):
+        """A drain stops after ``MAX_BURST`` datagrams and the next
+        readiness event reads the rest, so none is lost or reordered."""
+        service = ServeService(split_specs(1e6), 1e6, time_scale=1.0,
+                               watchdog_period=0.0)
+        drains = []
+        got = []
+
+        async def scenario():
+            host, port = await service.start_udp("127.0.0.1", 0)
+            endpoint = service._transports[0]
+            endpoint.MAX_BURST = 4
+            drain = endpoint._drain
+            endpoint._drain = lambda: (drains.append(1), drain())
+            serve = asyncio.ensure_future(service.run(install_signals=False))
+            transport, notices = await _client(host, port)
+            for seq in range(10):  # all queued before the service reads
+                transport.sendto(encode_packet("gold#0", seq, 0.0, 64))
+            for _ in range(10):
+                got.append(await asyncio.wait_for(notices.get(), timeout=2.0))
+            transport.close()
+            service.request_stop(snapshot=False)
+            await serve
+
+        asyncio.run(scenario())
+        assert [notice["seq"] for notice in got] == list(range(10))
+        assert len(drains) >= 3
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="IP_RECVERR is Linux-only")
+    def test_vanished_sender_does_not_stop_the_drain(self):
+        """Client A sends and closes its socket before its notice goes
+        out; the port-unreachable error that comes back is read (and
+        skipped) by the drain, and client B, sending both after it and in
+        the same burst as a second vanished sender, gets every notice."""
+        service = ServeService(split_specs(1e6), 1e6, time_scale=1.0,
+                               watchdog_period=0.0)
+        got = []
+
+        def vanishing_send(dest, flow):
+            sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+            sock.sendto(encode_packet(flow, 0, 0.0, 64), dest)
+            sock.close()
+
+        async def scenario():
+            host, port = await service.start_udp("127.0.0.1", 0)
+            endpoint = service._transports[0]
+            # Linux reports ICMP errors on an unconnected UDP socket only
+            # with IP_RECVERR; ask for them so they reach recvfrom.
+            endpoint.sock.setsockopt(socket.IPPROTO_IP, IP_RECVERR, 1)
+            serve = asyncio.ensure_future(service.run(install_signals=False))
+            plane = service.dataplane
+            vanishing_send((host, port), "gold#a")
+            await _wait_for(lambda: plane.departed == 1)
+            await asyncio.sleep(0.05)
+            transport, notices = await _client(host, port)
+            for seq in range(10):
+                transport.sendto(encode_packet("bronze#b", seq, 0.0, 64))
+            vanishing_send((host, port), "gold#c")
+            for seq in range(10, 20):
+                transport.sendto(encode_packet("bronze#b", seq, 0.0, 64))
+            for _ in range(20):
+                got.append(await asyncio.wait_for(notices.get(), timeout=2.0))
+            transport.close()
+            service.request_stop(snapshot=False)
+            await serve
+
+        asyncio.run(scenario())
+        assert [notice["seq"] for notice in got] == list(range(20))
+        assert service.dataplane.departed == 22
+        assert service.summary()["dataplane"]["read_errors"] >= 1
+
+    def test_full_socket_queues_notices_in_order(self):
+        """``sendto`` on EAGAIN queues the notice behind a writer callback
+        instead of dropping it, and later notices wait their turn."""
+
+        class FullSocket(socket.socket):
+            refusals = 2
+
+            def sendto(self, data, addr):
+                if self.refusals:
+                    self.refusals -= 1
+                    raise BlockingIOError
+                return super().sendto(data, addr)
+
+        sink = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        sink.bind(("127.0.0.1", 0))
+        sink.settimeout(2.0)
+        sock = FullSocket(socket.AF_INET, socket.SOCK_DGRAM)
+        sock.bind(("127.0.0.1", 0))
+
+        async def scenario():
+            endpoint = DatagramEndpoint(
+                asyncio.get_running_loop(), sock, dataplane=None)
+            endpoint.sendto(b"first", sink.getsockname())
+            endpoint.sendto(b"second", sink.getsockname())
+            assert len(endpoint._unsent) == 2
+            await _wait_for(lambda: not endpoint._unsent)
+            endpoint.sendto(b"third", sink.getsockname())
+            endpoint.close()
+
+        try:
+            asyncio.run(scenario())
+            assert [sink.recv(64) for _ in range(3)] == [
+                b"first", b"second", b"third"]
+            assert sock.refusals == 0
+        finally:
+            sink.close()
 
 
 class TestSnapshotResume:
